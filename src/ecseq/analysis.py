@@ -11,14 +11,18 @@ from __future__ import annotations
 import math
 import os
 import random
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import chain, cycle, repeat
+from operator import indexOf, xor
 
 from .family import SequenceFamily
 from .gf2 import ValidationError, poly_divmod, poly_gcd
 
 EXHAUSTIVE_Q_CAP = {2: 256, 3: 64}  # per-degree default budget gates
-_OPS_PER_MS = 5000  # conservative xor+popcount throughput for budget estimates
+_OPS_PER_MS = 3500  # exhaustive pair-shifts per ms, at or below the slowest measured
+_SAMPLE_BLOCK = 4096  # sampled probes held in memory at a time
 
 
 class BoundViolationError(AssertionError):
@@ -57,7 +61,7 @@ class CorrelationReport:
     max_cross: int | None
     cor: int
     histogram: dict[int, int]
-    auto_witness: tuple[int, int]          # (i, u)
+    auto_witness: tuple[int, int] | None   # (i, u); None when N = 1
     cross_witness: tuple[int, int, int] | None  # (i, j, u)
     mode: str                               # "exhaustive" or "sampled"
     samples: int | None = None
@@ -69,7 +73,7 @@ class CorrelationReport:
             "max_auto": self.max_auto, "max_cross": self.max_cross,
             "cor": self.cor,
             "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-            "auto_witness": list(self.auto_witness),
+            "auto_witness": list(self.auto_witness) if self.auto_witness else None,
             "cross_witness": list(self.cross_witness) if self.cross_witness else None,
             "mode": self.mode, "samples": self.samples, "seed": self.seed,
         }
@@ -104,93 +108,108 @@ def exhaustive_allowed(family: SequenceFamily, budget_ms: int | None = None) -> 
     return family.q <= EXHAUSTIVE_Q_CAP.get(family.d, 64)
 
 
-def _check_value(c: int, N: int, bound: int, where: str) -> None:
-    if (c - N) % 2:
-        raise AssertionError(f"correlation parity broken at {where}")
-    if abs(c) > bound:
-        raise BoundViolationError(f"|{c}| > bound {bound} at {where}")
+def _rotations(a: int, N: int) -> list[int]:
+    """rotate(a, -u, N) for u = 0..N-1, built in C as windows of a|a<<N.
+
+    Rotation preserves popcount, so popcount(a ^ rotate(b, u, N)) equals
+    popcount(rots[u] ^ b): one row's table serves every partner b.
+    """
+    mask = (1 << N) - 1
+    return list(map(mask.__and__, map((a | a << N).__rshift__, range(N, 0, -1))))
 
 
-def _pair_block(bits, pairs, N, bound):
-    best = (-N - 1, None)
-    hist: dict[int, int] = {}
-    for i, j in pairs:
-        a, b = bits[i], bits[j]
-        for u in range(N):
-            c = N - 2 * (a ^ rotate(b, u, N)).bit_count()
-            _check_value(c, N, bound, f"cross i={i} j={j} u={u}")
-            # C_u(s_i, s_j) = C_{N-u}(s_j, s_i): count the mirrored pair too
-            hist[c] = hist.get(c, 0) + 2
-            if c > best[0]:
-                best = (c, (i, j, u))
-    return best, hist
+def _popcounts(rots: list[int], partners) -> Iterator[int]:
+    """popcount(r ^ b) for b in partners and r in rots, partner-major.
+
+    The iteration runs in C (map over repeat/cycle), not in Python.
+    """
+    each = chain.from_iterable(map(repeat, partners, repeat(len(rots))))
+    return map(int.bit_count, map(xor, each, cycle(rots)))
+
+
+class _Sweep:
+    """Popcount histogram and first maximiser of one correlation kind."""
+
+    def __init__(self, N: int, bound: int, kind: str):
+        self.N, self.bound, self.kind = N, bound, kind
+        self.popcounts: Counter = Counter()
+        self.max, self.witness = -N - 1, None
+
+    def fold(self, block: Callable[[], Iterable[int]],
+             locate: Callable[[int], tuple]) -> None:
+        """Add one block of popcounts, in witness order.
+
+        block() yields the block afresh (it is re-run only to find the
+        index of an extreme); locate(k) names the (i, u) or (i, j, u) of
+        its k-th value.  Correlation is N - 2*popcount, so the extreme
+        popcounts are the extreme correlations, and both are held to
+        |c| <= bound.  The strict > keeps the first maximiser.
+        """
+        counts = Counter(block())
+        if not counts:
+            return
+        lo, hi = min(counts), max(counts)
+        for pc in (lo, hi):
+            if abs(self.N - 2 * pc) > self.bound:
+                raise BoundViolationError(
+                    f"|{self.N - 2 * pc}| > bound {self.bound} at "
+                    f"{self.kind} = {locate(indexOf(block(), pc))}")
+        self.popcounts.update(counts)
+        if self.N - 2 * lo > self.max:
+            self.max = self.N - 2 * lo
+            self.witness = locate(indexOf(block(), lo))
 
 
 def family_correlation(family: SequenceFamily, sampled: int | None = None,
-                       seed: int = 0, threads: int = 1,
+                       seed: int = 0,
                        budget_ms: int | None = None) -> CorrelationReport:
     """Max correlation with witnesses; asserts the family bound.
 
     sampled=None runs the exhaustive sweep over all pairs and delays
     (subject to the budget gate); sampled=k probes k uniform (i, j, u)
-    cross triples and still sweeps every autocorrelation.
+    cross triples and still sweeps every autocorrelation.  Witnesses are
+    the first maximiser in (i, u) and (i, j, u) order, or in draw order
+    when sampled.
     """
     N, M, bits = family.N, family.M, family.bits
     bound = corr_bound(family.q, family.t, family.d)
-    hist: dict[int, int] = {}
-    max_auto, auto_wit = -N - 1, (0, 1)
-    for i, s in enumerate(bits):
-        for u in range(1, N):
-            c = N - 2 * (s ^ rotate(s, u, N)).bit_count()
-            _check_value(c, N, bound, f"auto i={i} u={u}")
-            hist[c] = hist.get(c, 0) + 1
-            if c > max_auto:
-                max_auto, auto_wit = c, (i, u)
-    max_cross, cross_wit = None, None
-    if M > 1 and sampled is None:
-        if not exhaustive_allowed(family, budget_ms):
-            raise ValidationError(
-                f"exhaustive sweep over M={M} rows exceeds the budget; "
-                "use sampled mode or raise ECSEQ_BUDGET_MS")
-        pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
-        if threads > 1:
-            chunks = [pairs[k::threads] for k in range(threads)]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(
-                    lambda ch: _pair_block(bits, ch, N, bound), chunks))
-        else:
-            parts = [_pair_block(bits, pairs, N, bound)]
-        max_cross, cross_wit = -N - 1, None
-        for (best, h) in parts:
-            if best[0] > max_cross:
-                max_cross, cross_wit = best
-            for k, v in h.items():
-                hist[k] = hist.get(k, 0) + v
-        mode, samples = "exhaustive", None
-    elif M > 1:
+    exhaustive = M > 1 and sampled is None
+    mode = "sampled" if M > 1 and sampled is not None else "exhaustive"
+    if exhaustive and not exhaustive_allowed(family, budget_ms):
+        raise ValidationError(
+            f"exhaustive sweep over M={M} rows exceeds the budget; "
+            "use sampled mode or raise ECSEQ_BUDGET_MS")
+    auto = _Sweep(N, bound, "auto (i, u)")
+    cross = _Sweep(N, bound, "cross (i, j, u)")
+    for i, a in enumerate(bits):
+        rots = _rotations(a, N)
+        auto.fold(lambda: _popcounts(rots[1:], (a,)), lambda k: (i, k + 1))
+        if exhaustive:
+            cross.fold(lambda: _popcounts(rots, bits[i + 1:]),
+                       lambda k: (i, i + 1 + k // N, k % N))
+    if mode == "sampled":
         rng = random.Random(seed)
-        max_cross, cross_wit = -N - 1, None
-        for _ in range(sampled):
-            i = rng.randrange(M)
-            j = rng.randrange(M - 1)
-            if j >= i:
-                j += 1
-            u = rng.randrange(N)
-            c = N - 2 * (bits[i] ^ rotate(bits[j], u, N)).bit_count()
-            _check_value(c, N, bound, f"cross i={i} j={j} u={u}")
-            hist[c] = hist.get(c, 0) + 1
-            if c > max_cross:
-                max_cross, cross_wit = c, (i, j, u)
-        mode, samples = "sampled", sampled
-    else:
-        mode, samples = "exhaustive", None
-    cor = max_auto if max_cross is None else max(max_auto, max_cross)
-    if cor > bound:
-        raise BoundViolationError(f"Cor(S) = {cor} exceeds bound {bound}")
+        for start in range(0, sampled, _SAMPLE_BLOCK):
+            draws = []
+            for _ in range(min(_SAMPLE_BLOCK, sampled - start)):
+                i = rng.randrange(M)
+                j = rng.randrange(M - 1)
+                draws.append((i, j + (j >= i), rng.randrange(N)))
+            pcs = [(bits[i] ^ rotate(bits[j], u, N)).bit_count()
+                   for i, j, u in draws]
+            cross.fold(lambda: pcs, draws.__getitem__)
+    # C_u(s_i, s_j) = C_{N-u}(s_j, s_i): the exhaustive sweep visits i < j
+    # only, so each of its values also stands for the mirrored pair
+    weight = 2 if exhaustive else 1
+    hist = {N - 2 * pc: auto.popcounts[pc] + weight * cross.popcounts[pc]
+            for pc in auto.popcounts.keys() | cross.popcounts.keys()}
+    max_cross = cross.max if M > 1 else None
+    cor = auto.max if max_cross is None else max(auto.max, max_cross)
     return CorrelationReport(
-        N=N, M=M, bound=bound, max_auto=max_auto, max_cross=max_cross,
-        cor=cor, histogram=hist, auto_witness=auto_wit,
-        cross_witness=cross_wit, mode=mode, samples=samples,
+        N=N, M=M, bound=bound, max_auto=auto.max, max_cross=max_cross,
+        cor=cor, histogram=hist, auto_witness=auto.witness,
+        cross_witness=cross.witness, mode=mode,
+        samples=sampled if mode == "sampled" else None,
         seed=seed if mode == "sampled" else None)
 
 

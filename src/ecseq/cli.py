@@ -87,8 +87,7 @@ def cmd_analyze(args) -> int:
     fam = read_family(args.family)
     timings = {}
     t0 = time.perf_counter()
-    corr = family_correlation(fam, sampled=args.sampled, seed=args.seed,
-                              threads=args.threads)
+    corr = family_correlation(fam, sampled=args.sampled, seed=args.seed)
     timings["correlation_s"] = round(time.perf_counter() - t0, 3)
     t0 = time.perf_counter()
     lc = family_linear_complexity(fam)
@@ -120,7 +119,7 @@ def cmd_reproduce_table(args) -> int:
             t = math.isqrt(q) if n % 2 == 0 else math.isqrt(2 * q)
             curve, P, ext, place, space = _pipeline(n, t, 2)
             fam = gen_family(curve, P, space, ext)
-            rep = family_correlation(fam, threads=args.threads)
+            rep = family_correlation(fam)
             ref = TABLE3_REFERENCE.get(q, {})
             rows.append({"q": q, "t": t, "N": fam.N, "M": fam.M,
                          "observed_cor": rep.cor, "bound": rep.bound,
@@ -132,8 +131,7 @@ def cmd_reproduce_table(args) -> int:
             curve, P, ext, place, space = _pipeline(n, -1, 3)
             fam = gen_family(curve, P, space, ext)
             sampled = args.sampled if q > 32 else None
-            rep = family_correlation(fam, sampled=sampled, seed=args.seed,
-                                     threads=args.threads)
+            rep = family_correlation(fam, sampled=sampled, seed=args.seed)
             ref = TABLE2_REFERENCE.get(q, {})
             rows.append({"q": q, "t": -1, "N": fam.N, "M": fam.M,
                          "observed_cor": rep.cor, "bound": rep.bound,
@@ -199,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("family")
     a.add_argument("--sampled", type=int, default=None, metavar="K")
     a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--threads", type=int, default=1)
     a.add_argument("--out")
     a.set_defaults(func=cmd_analyze)
 
@@ -208,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--n", type=int, action="append", dest="n_values")
     r.add_argument("--sampled", type=int, default=1_000_000, metavar="K")
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--threads", type=int, default=1)
     r.add_argument("--out")
     r.set_defaults(func=cmd_reproduce_table)
 

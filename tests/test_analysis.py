@@ -1,6 +1,7 @@
 """Correlation sweeps, cyclic linear complexity, and bound checks."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -88,11 +89,55 @@ def test_family_correlation_matches_naive_oracle():
     assert naive_corr(fam.bits[i], fam.bits[j], u, N) == rep.max_cross
 
 
-def test_family_correlation_thread_determinism():
-    fam = cached_family(3, 4, 2)
-    r1 = family_correlation(fam, threads=1)
-    r4 = family_correlation(fam, threads=4)
-    assert r1.cor == r4.cor and r1.histogram == r4.histogram
+def naive_report(fam):
+    """Histogram, maxima and first (i, u) / (i, j, u) maximisers from a
+    loop over every delay and ordered pair."""
+    N, M, bits = fam.N, fam.M, fam.bits
+    hist = Counter()
+    max_auto = max_cross = -N - 1
+    auto_wit = cross_wit = None
+    for i in range(M):
+        for u in range(1, N):
+            c = autocorrelation(bits[i], u, N)
+            hist[c] += 1
+            if c > max_auto:
+                max_auto, auto_wit = c, (i, u)
+    for i in range(M):
+        for j in range(M):
+            if i == j:
+                continue
+            for u in range(N):
+                c = crosscorrelation(bits[i], bits[j], u, N)
+                hist[c] += 1
+                if i < j and c > max_cross:
+                    max_cross, cross_wit = c, (i, j, u)
+    return dict(hist), max_auto, auto_wit, max_cross, cross_wit
+
+
+@pytest.mark.parametrize("n,t,d", [(5, 8, 2), (6, 8, 2), (3, 4, 3)])
+def test_family_correlation_kernel_matches_naive_loop(n, t, d):
+    fam = cached_family(n, t, d)
+    hist, max_auto, auto_wit, max_cross, cross_wit = naive_report(fam)
+    rep = family_correlation(fam)
+    assert rep.histogram == hist
+    assert (rep.max_auto, rep.auto_witness) == (max_auto, auto_wit)
+    assert (rep.max_cross, rep.cross_witness) == (max_cross, cross_wit)
+    # each maximum is attained beyond its mirror image (u <-> N-u, or
+    # (i, j, u) <-> (j, i, N-u)), so the first-in-order rule is exercised
+    assert hist[max_auto] > 2 and hist[max_cross] > 2
+
+
+def test_negative_correlation_violation_raises():
+    fam = cached_family(7, 16, 2)
+    N, s = fam.N, fam.bits[0]
+    # C_u(s, ~s) = -C_u(s, s): -N at u = 0, and within the bound elsewhere
+    fake = SequenceFamily(n=7, t=16, d=2, N=N, M=2,
+                          bits=[s, ~s & ((1 << N) - 1)])
+    bound = corr_bound(fake.q, fake.t, fake.d)
+    assert bound < N
+    assert max(crosscorrelation(s, fake.bits[1], u, N) for u in range(N)) <= bound
+    with pytest.raises(BoundViolationError, match=r"cross \(i, j, u\) = \(0, 1, 0\)"):
+        family_correlation(fake)
 
 
 def test_sampled_mode_is_lower_estimate():
@@ -102,6 +147,7 @@ def test_sampled_mode_is_lower_estimate():
     assert samp.mode == "sampled" and samp.samples == 2000
     assert samp.max_cross <= full.max_cross
     assert samp.max_auto == full.max_auto  # autocorrelations always full
+    assert sum(samp.histogram.values()) == fam.M * (fam.N - 1) + 2000
     # determinism in the seed
     again = family_correlation(fam, sampled=2000, seed=5)
     assert again.cor == samp.cor and again.cross_witness == samp.cross_witness
