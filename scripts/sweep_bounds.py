@@ -12,30 +12,27 @@ import argparse
 import math
 import time
 
-from ecseq import (CurveSearchSpec, admissible_t, family_correlation,
-                   family_linear_complexity, find_place, gen_family, make_ext,
-                   rr_basis, search_cyclic_curve)
+from ecseq import (admissible_t, build_instance, family_correlation,
+                   family_linear_complexity, gen_family)
 from ecseq.places import FIND_PLACE_LIMIT
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--max-n", type=int, default=6)
     ap.add_argument("--sampled", type=int, default=200_000,
                     help="cross-correlation probes for large families")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     total = 0
     for n in range(2, args.max_n + 1):
         q = 1 << n
         for t in admissible_t(n):
-            curve, P = search_cyclic_curve(CurveSearchSpec(n, t))
             for d in (2, 3):
-                if math.gcd(d, curve.N) != 1 or q**d > FIND_PLACE_LIMIT:
+                if math.gcd(d, q + 1 + t) != 1 or q**d > FIND_PLACE_LIMIT:
                     continue
                 t0 = time.perf_counter()
-                ext = make_ext(curve.ctx, d)
-                space = rr_basis(curve, ext, find_place(curve, ext, d))
+                curve, P, ext, place, space = build_instance(n, t, d)
                 fam = gen_family(curve, P, space, ext)
                 sampled = None if (q <= 256 if d == 2 else q <= 32) else args.sampled
                 corr = family_correlation(fam, sampled=sampled)

@@ -9,8 +9,8 @@ from .analysis import (BoundViolationError, CorrelationReport,
                        linear_complexity_cyclic, rotate)
 from .curves import (Curve, CurveSearchSpec, Point, admissible_t,
                      ordered_points, search_cyclic_curve)
-from .family import (FormatError, SequenceFamily, enumerate_V, gen_family,
-                     read_family, write_family)
+from .family import (FormatError, SequenceFamily, build_instance, enumerate_V,
+                     gen_family, read_family, write_family)
 from .gf2 import (ExtFieldContext, FieldContext, ValidationError, make_ext,
                   make_field)
 from .places import (PlaceD, count_places_formula, enumerate_places_deg_d,

@@ -284,13 +284,13 @@ def family_linear_complexity(family: SequenceFamily) -> LinearComplexityReport:
 
 def counting_identity_check(family: SequenceFamily, samples: int = 10_000,
                             seed: int = 0) -> bool:
-    """Per (row, delay): A_u = 2*N_0 - N with N_0 the agreement count,
-    |2*N_0 - q - 1| <= (2d+1)*floor(2*sqrt(q)), and |A_u| within the
-    family bound.  Exhaustive at N <= 300, sampled above.
+    """Per (row, delay): |2*N_0 - q - 1| <= (2d+1)*floor(2*sqrt(q)), with
+    N_0 the agreement count of the row and its shift.  This Serre-form
+    bound is the one the proof uses; since 2*N_0 - q - 1 = A_u + t, it
+    implies |A_u| <= the family bound.  Exhaustive at N <= 300, sampled above.
     """
     N, q, d = family.N, family.q, family.d
     serre = (2 * d + 1) * math.isqrt(4 * q)
-    bound = corr_bound(q, family.t, d)
     if N <= 300:
         probes = ((i, u) for i in range(family.M) for u in range(1, N))
     else:
@@ -300,9 +300,6 @@ def counting_identity_check(family: SequenceFamily, samples: int = 10_000,
     for i, u in probes:
         s = family.bits[i]
         n0 = N - (s ^ rotate(s, u, N)).bit_count()
-        a_u = autocorrelation(s, u, N)
-        if a_u != 2 * n0 - N:
-            return False
-        if abs(2 * n0 - q - 1) > serre or abs(a_u) > bound:
+        if abs(2 * n0 - q - 1) > serre:
             return False
     return True

@@ -17,11 +17,11 @@ import time
 from .analysis import (BoundViolationError, corr_bound, counting_identity_check,
                        family_correlation, family_linear_complexity)
 from .curves import CurveSearchSpec, admissible_t, search_cyclic_curve
-from .family import FormatError, gen_family, read_family, write_family
+from .family import (FormatError, build_instance, gen_family, read_family,
+                     write_family)
 from .gf2 import ValidationError, make_ext
 from .places import (FIND_PLACE_LIMIT, PlaceCountReport, count_places_formula,
-                     enumerate_places_deg_d, find_place)
-from .rrspace import rr_basis
+                     enumerate_places_deg_d)
 
 # Published reference values, reported alongside our results but never
 # asserted: the instances behind them (curve, place, generator) are not
@@ -53,22 +53,9 @@ def _emit(obj, out_path=None):
         sys.stdout.write(text)
 
 
-def _pipeline(n: int, t: int, d: int):
-    """Steps 1-7: curve search, place, function space, bit matrix."""
-    spec = CurveSearchSpec(n, t)
-    spec.validate()
-    curve, P = search_cyclic_curve(spec)
-    if math.gcd(d, curve.N) != 1:
-        raise ValidationError(f"gcd(d={d}, N={curve.N}) != 1")
-    ext = make_ext(curve.ctx, d)
-    place = find_place(curve, ext, d)
-    space = rr_basis(curve, ext, place)
-    return curve, P, ext, place, space
-
-
 def cmd_generate(args) -> int:
     n, t, d = args.n, args.t, args.d
-    curve, P, ext, place, space = _pipeline(n, t, d)
+    curve, P, ext, place, space = build_instance(n, t, d)
     fam = gen_family(curve, P, space, ext)
     out = args.out or f"ecseq_n{n}_t{t}_d{d}.ecseq"
     write_family(fam, out)
@@ -117,7 +104,7 @@ def cmd_reproduce_table(args) -> int:
         for n in ns:
             q = 1 << n
             t = math.isqrt(q) if n % 2 == 0 else math.isqrt(2 * q)
-            curve, P, ext, place, space = _pipeline(n, t, 2)
+            curve, P, ext, place, space = build_instance(n, t, 2)
             fam = gen_family(curve, P, space, ext)
             rep = family_correlation(fam)
             ref = TABLE3_REFERENCE.get(q, {})
@@ -128,7 +115,7 @@ def cmd_reproduce_table(args) -> int:
         ns = args.n_values or [4, 5, 6]
         for n in ns:
             q = 1 << n
-            curve, P, ext, place, space = _pipeline(n, -1, 3)
+            curve, P, ext, place, space = build_instance(n, -1, 3)
             fam = gen_family(curve, P, space, ext)
             sampled = args.sampled if q > 32 else None
             rep = family_correlation(fam, sampled=sampled, seed=args.seed)
@@ -151,10 +138,7 @@ def cmd_count_places(args) -> int:
     if args.verify:
         if q**args.d > FIND_PLACE_LIMIT:
             raise ValidationError(f"q^d = {q ** args.d} exceeds the enumeration cap")
-        curve, P, ext, place, space = None, None, None, None, None
-        spec = CurveSearchSpec(args.n, args.t)
-        spec.validate()
-        curve, P = search_cyclic_curve(spec)
+        curve, P = search_cyclic_curve(CurveSearchSpec(args.n, args.t))
         ext = make_ext(curve.ctx, args.d)
         enumerated = len(enumerate_places_deg_d(curve, ext, args.d))
     report = PlaceCountReport(d=args.d, q=q, t=args.t, formula=formula,

@@ -8,6 +8,7 @@ the coordinates belong to (curve coefficients are embedded as needed).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -264,23 +265,18 @@ def is_cyclic(curve: Curve) -> tuple[bool, Point | None]:
     return curve.N == 1, None
 
 
-# Cached count tables for the ordinary sweep: h0[a6] counts x != 0 with
-# Tr(x + sqrt(a6)/x) == 0; the point count only depends on (Tr(a2), a6).
-_ordinary_h0: dict[int, list[int]] = {}
-
-
+@functools.cache
 def _ordinary_count_table(ctx: FieldContext) -> list[int]:
-    tbl = _ordinary_h0.get(ctx.n)
-    if tbl is None:
-        tbl = [0] * ctx.q
-        for a6 in range(1, ctx.q):
-            s = ctx.sqrt(a6)
-            cnt = 0
-            for x in range(1, ctx.q):
-                if ctx.trace(x ^ ctx.div(s, x)) == 0:
-                    cnt += 1
-            tbl[a6] = cnt
-        _ordinary_h0[ctx.n] = tbl
+    """h0[a6] counts x != 0 with Tr(x + sqrt(a6)/x) == 0; the ordinary
+    sweep's point count only depends on (Tr(a2), a6)."""
+    tbl = [0] * ctx.q
+    for a6 in range(1, ctx.q):
+        s = ctx.sqrt(a6)
+        cnt = 0
+        for x in range(1, ctx.q):
+            if ctx.trace(x ^ ctx.div(s, x)) == 0:
+                cnt += 1
+        tbl[a6] = cnt
     return tbl
 
 

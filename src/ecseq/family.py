@@ -7,11 +7,14 @@ on-disk format packs each row MSB-first and pads the last byte with zeros.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
-from .curves import Curve, Point, ordered_points
-from .gf2 import FieldContext
-from .rrspace import CurveFunction, RRSpace, eval_function
+from .curves import (Curve, CurveSearchSpec, Point, admissible_t, ordered_points,
+                     search_cyclic_curve)
+from .gf2 import ExtFieldContext, FieldContext, make_ext
+from .places import PlaceD, find_place
+from .rrspace import CurveFunction, RRSpace, eval_function, rr_basis
 
 
 class FormatError(ValueError):
@@ -54,34 +57,41 @@ def enumerate_V(ctx: FieldContext, space: RRSpace) -> list[CurveFunction]:
     return out
 
 
+def build_instance(n: int, t: int, d: int
+                   ) -> tuple[Curve, Point, ExtFieldContext, PlaceD, RRSpace]:
+    """The construction up to the function space: (curve, P, ext, place, space).
+
+    The first cyclic curve with N = 2^n + 1 + t and its generator P, the
+    degree-d extension, the first regular degree-d place and the basis of
+    L(Q).  Raises ValidationError for an inadmissible t, gcd(d, N) != 1 or
+    q^d over the place-search cap.
+    """
+    curve, P = search_cyclic_curve(CurveSearchSpec(n, t))
+    ext = make_ext(curve.ctx, d)
+    place = find_place(curve, ext, d)
+    return curve, P, ext, place, rr_basis(curve, ext, place)
+
+
 def gen_family(curve: Curve, P: Point, space: RRSpace, ext=None) -> SequenceFamily:
     """The full M x N bit matrix with regeneration provenance.
 
-    Rows are filled through the V-basis evaluations: z = sum c_k b_k gives
-    z(P_j) = sum c_k b_k(P_j), so each point is evaluated d-1 times total.
+    Tr(c * b(P_j)) is GF(2)-linear in c, so the rows are the GF(2) span of
+    n*(d-1) bit planes Tr(x^i * b_k(P_j)).  Row m is the XOR of the planes
+    selected by the bits of m + 1, its index in enumerate_V: bit p selects
+    bit i = p % n of the coefficient c_k, k = d-2 - p // n.
     """
     ctx = curve.ctx
     pts = ordered_points(curve, P)
-    N = curve.N
-    d = space.place.d
-    basis_vals = [[eval_function(curve, b, pt) for pt in pts] for b in space.V_basis]
-    r = len(space.V_basis)
-    q = ctx.q
     mul, trace = ctx.mul, ctx.trace
-    bits = []
-    for idx in range(1, q**r):
-        cs = [(idx // q ** (r - 1 - k)) % q for k in range(r)]
-        row = 0
-        for j in range(N):
-            v = 0
-            for ck, bv in zip(cs, basis_vals):
-                if ck:
-                    v ^= mul(ck, bv[j])
-            if trace(v):
-                row |= 1 << j
-        bits.append(row)
-    M = q ** (d - 1) - 1
-    assert len(bits) == M
+    planes = []
+    for b in reversed(space.V_basis):
+        vals = [eval_function(curve, b, pt) for pt in pts]
+        for i in range(ctx.n):
+            planes.append(sum(trace(mul(1 << i, v)) << j for j, v in enumerate(vals)))
+    rows = [0]
+    for g in planes:
+        rows += [v ^ g for v in rows]
+    bits = rows[1:]
     prov = {
         "field": ctx.serialize(),
         "ext_field": ext.serialize() if ext is not None else None,
@@ -90,7 +100,8 @@ def gen_family(curve: Curve, P: Point, space: RRSpace, ext=None) -> SequenceFami
         "place": space.place.serialize(),
         "V_basis": [b.serialize() for b in space.V_basis],
     }
-    return SequenceFamily(n=ctx.n, t=curve.t, d=d, N=N, M=M, bits=bits, provenance=prov)
+    return SequenceFamily(n=ctx.n, t=curve.t, d=space.place.d, N=curve.N,
+                          M=len(bits), bits=bits, provenance=prov)
 
 
 def shift_identity_check(family: SequenceFamily, curve: Curve, P: Point,
@@ -158,9 +169,18 @@ def read_family(path) -> SequenceFamily:
         provenance = json.loads(lines[1])
     except (KeyError, ValueError, IndexError) as exc:
         raise FormatError(f"bad ECSEQ header or provenance: {exc}") from exc
+    # each test guards the next: admissible_t needs 2 <= n <= 12, and the
+    # size of M is only computed for a valid n and d
+    if not (2 <= n <= 12 and d in (2, 3) and t in admissible_t(n)):
+        raise FormatError(f"unsupported header n={n} t={t} d={d}")
+    if N != (1 << n) + 1 + t or math.gcd(d, N) != 1:
+        raise FormatError(f"N={N} is not 2^n+1+t coprime to d={d}")
+    if M != (1 << n * (d - 1)) - 1:
+        raise FormatError(f"M={M} is not q^(d-1)-1")
     if len(lines) != 2 + M:
         raise FormatError(f"expected {M} rows, found {len(lines) - 2}")
     nbytes = (N + 7) // 8
+    padding = (1 << -N % 8) - 1  # low bits of the last byte, past bit N-1
     bits = []
     for ln in lines[2:]:
         try:
@@ -169,5 +189,7 @@ def read_family(path) -> SequenceFamily:
             raise FormatError(f"bad hex row: {exc}") from exc
         if len(raw) != nbytes:
             raise FormatError("row length does not match N")
+        if raw[-1] & padding:
+            raise FormatError("nonzero padding bits")
         bits.append(_unpack_row(raw, N))
     return SequenceFamily(n=n, t=t, d=d, N=N, M=M, bits=bits, provenance=provenance)

@@ -90,8 +90,6 @@ def frobenius_power_sums(q: int, t: int, r_max: int) -> list[int]:
     s = [2, -t]
     for r in range(2, r_max + 1):
         s.append(-t * s[r - 1] - q * s[r - 2])
-    for r in range(1, min(r_max, 6) + 1):
-        assert s[r] == waring_power_sum(q, t, r), "recurrence disagrees with Waring form"
     return s[1:]
 
 

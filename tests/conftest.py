@@ -3,13 +3,9 @@
 from __future__ import annotations
 
 import functools
-import math
 
 from ecseq.curves import CurveSearchSpec, search_cyclic_curve
-from ecseq.family import gen_family
-from ecseq.gf2 import make_ext
-from ecseq.places import find_place
-from ecseq.rrspace import rr_basis
+from ecseq.family import build_instance, gen_family
 
 
 @functools.lru_cache(maxsize=None)
@@ -18,16 +14,8 @@ def cached_curve(n: int, t: int):
     return search_cyclic_curve(CurveSearchSpec(n, t))
 
 
-@functools.lru_cache(maxsize=None)
-def cached_instance(n: int, t: int, d: int):
-    """(curve, P, ext, place, space) — the full pipeline minus bit output."""
-    curve, P = cached_curve(n, t)
-    if math.gcd(d, curve.N) != 1:
-        raise ValueError(f"gcd(d={d}, N={curve.N}) != 1")
-    ext = make_ext(curve.ctx, d)
-    place = find_place(curve, ext, d)
-    space = rr_basis(curve, ext, place)
-    return curve, P, ext, place, space
+# (curve, P, ext, place, space) — the full pipeline minus bit output
+cached_instance = functools.lru_cache(maxsize=None)(build_instance)
 
 
 @functools.lru_cache(maxsize=None)

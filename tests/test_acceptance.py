@@ -4,6 +4,7 @@ Each test prints a single [ACCEPTANCE] pass line on success; a failed
 assertion fails the test (and the line is not printed).
 """
 
+import hashlib
 import json
 import math
 
@@ -222,13 +223,22 @@ def test_criterion_8_counting_identities():
     _ok(8, "proof counting identities")
 
 
+# Family file sha256 values pinned from earlier releases: generation
+# changes must leave the files byte-identical.
+FAMILY_SHA256 = {
+    (3, 4, 2): "50cee6330eb7f09691503565a9af8a7019758aff3b66d0c15ef94885d59915d9",
+    (6, 8, 2): "9f6d68c610737aa80e380b6c7dc4b146f5910255e68250dbb941de13ee3ae588",
+}
+
+
 def test_criterion_9_determinism(tmp_path):
-    for n, t, d in [(3, 4, 2), (6, 8, 2)]:
+    for (n, t, d), digest in FAMILY_SHA256.items():
         f1, f2 = tmp_path / f"a{n}.ecseq", tmp_path / f"b{n}.ecseq"
         for f in (f1, f2):
             assert cli_main(["generate", "--n", str(n), "--t", str(t),
                              "--d", str(d), "--out", str(f)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
+        assert hashlib.sha256(f1.read_bytes()).hexdigest() == digest
         r1, r2 = tmp_path / f"r1{n}.json", tmp_path / f"r2{n}.json"
         for r in (r1, r2):
             assert cli_main(["analyze", str(f1), "--out", str(r)]) == 0

@@ -1,10 +1,14 @@
 """CLI subcommands, exit codes, and end-to-end determinism."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
+from conftest import cached_family
 from ecseq.cli import main
+from ecseq.family import write_family
 
 
 def run(argv):
@@ -70,9 +74,38 @@ def test_io_exit_codes(tmp_path):
     assert run(["analyze", bad]) == 4
 
 
+def _family_lines(tmp_path, n, t, d):
+    path = tmp_path / "fam.ecseq"
+    write_family(cached_family(n, t, d), path)
+    return path.read_text().splitlines()
+
+
+def _relabel_n9(lines):
+    return ["ECSEQ v1 n=6 t=8 d=2 N=9 M=63", lines[1]] + [ln[:4] for ln in lines[2:]]
+
+
+def _set_padding_bit(lines):
+    last = int(lines[2][-2:], 16) | 1  # N=13: the last byte's low 3 bits pad
+    return lines[:2] + [lines[2][:-2] + f"{last:02x}"] + lines[3:]
+
+
+@pytest.mark.parametrize("forge", [
+    # N=1 is impossible for n=2, t=0 (N must be 5)
+    lambda tmp: ["ECSEQ v1 n=2 t=0 d=2 N=1 M=2", "{}", "80", "80"],
+    # an n=6 t=8 family (N=73) relabelled N=9, rows cut to 2 bytes
+    lambda tmp: _relabel_n9(_family_lines(tmp, 6, 8, 2)),
+    # a valid n=3 family with a nonzero padding bit in its first row
+    lambda tmp: _set_padding_bit(_family_lines(tmp, 3, 4, 2)),
+], ids=["impossible-N", "relabelled-N", "padding-bit"])
+def test_malformed_header_or_padding_exits_4(tmp_path, forge):
+    forged = tmp_path / "forged.ecseq"
+    forged.write_text("\n".join(forge(tmp_path)) + "\n")
+    assert run(["analyze", forged]) == 4
+
+
 def test_zero_row_rejected(tmp_path, capsys):
     forged = tmp_path / "zero.ecseq"
-    forged.write_text("ECSEQ v1 n=3 t=4 d=2 N=13 M=1\n{}\n0000\n")
+    forged.write_text("ECSEQ v1 n=3 t=4 d=2 N=13 M=7\n{}\n" + "0000\n" * 7)
     assert run(["analyze", forged]) == 2
     assert "zero sequence" in capsys.readouterr().err
 
@@ -109,6 +142,15 @@ def test_reproduce_table3_small(tmp_path):
     assert (row["q"], row["t"], row["N"], row["M"]) == (64, 8, 73, 63)
     assert row["observed_cor"] <= row["bound"] == 88
     assert row["reference_cor"] == 39
+
+
+def test_sweep_bounds_script(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "sweep_bounds.py"
+    spec = importlib.util.spec_from_file_location("sweep_bounds", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.main(["--max-n", "4"])  # every bound asserted: raises on a failure
+    assert capsys.readouterr().out.endswith("\n27 instances, all bounds hold\n")
 
 
 def test_unknown_flag_rejected():

@@ -22,9 +22,11 @@ def test_smallest_family_shape():
     assert len(set(fam.bits)) == 7  # pairwise distinct sequences
 
 
-def test_rows_match_direct_trace_evaluation():
-    curve, P, ext, place, space = cached_instance(3, 4, 2)
-    fam = cached_family(3, 4, 2)
+@pytest.mark.parametrize("n, t, d", [(3, 4, 2), (3, 4, 3), (5, -1, 3), (6, 8, 2)])
+def test_rows_match_direct_trace_evaluation(n, t, d):
+    curve, P, ext, place, space = cached_instance(n, t, d)
+    fam = cached_family(n, t, d)
+    assert len(fam.bits) == fam.M == (1 << n * (d - 1)) - 1
     pts = ordered_points(curve, P)
     for i, z in enumerate(enumerate_V(curve.ctx, space)):
         row = 0
