@@ -2,8 +2,8 @@
 
 Sequences are ints with bit j = s_j; correlations are computed word-packed
 as N - 2*popcount(a XOR rot(b, u)).  The cyclic linear complexity of s is
-N - deg gcd(S(x), x^N + 1) over GF(2), with the connection polynomial
-lambda = (x^N + 1) / gcd verified to annihilate every cyclic shift.
+N - deg gcd(S(x), x^N + 1) over GF(2): the connection polynomial
+(x^N + 1) / gcd has that degree and annihilates every cyclic shift.
 """
 
 from __future__ import annotations
@@ -18,11 +18,13 @@ from itertools import chain, cycle, repeat
 from operator import indexOf, xor
 
 from .family import SequenceFamily
-from .gf2 import ValidationError, poly_divmod, poly_gcd
+from .gf2 import ValidationError, poly_gcd
 
 EXHAUSTIVE_Q_CAP = {2: 256, 3: 64}  # per-degree default budget gates
 _OPS_PER_MS = 3500  # exhaustive pair-shifts per ms, at or below the slowest measured
 _SAMPLE_BLOCK = 4096  # sampled probes held in memory at a time
+_IDENTITY_EXHAUSTIVE_N = 300  # counting identities: every (row, delay) up to this N
+_IDENTITY_SAMPLES = 10_000  # and this many seed-0 random probes above it
 
 
 class BoundViolationError(AssertionError):
@@ -97,15 +99,16 @@ class LinearComplexityReport:
         }
 
 
-def exhaustive_allowed(family: SequenceFamily, budget_ms: int | None = None) -> bool:
+def exhaustive_allowed(family: SequenceFamily) -> bool:
     """Budget gate for exhaustive pair sweeps; ECSEQ_BUDGET_MS overrides."""
-    if budget_ms is None:
-        env = os.environ.get("ECSEQ_BUDGET_MS")
-        budget_ms = int(env) if env else None
-    if budget_ms is not None:
-        ops = (family.M * (family.M - 1) // 2 + family.M) * family.N
-        return ops <= budget_ms * _OPS_PER_MS
-    return family.q <= EXHAUSTIVE_Q_CAP.get(family.d, 64)
+    env = os.environ.get("ECSEQ_BUDGET_MS")
+    if not env:
+        return family.q <= EXHAUSTIVE_Q_CAP.get(family.d, 64)
+    if not (env.isascii() and env.isdigit()):
+        raise ValidationError(
+            f"ECSEQ_BUDGET_MS={env!r} is not a non-negative integer")
+    ops = (family.M * (family.M - 1) // 2 + family.M) * family.N
+    return ops <= int(env) * _OPS_PER_MS
 
 
 def _rotations(a: int, N: int) -> list[int]:
@@ -161,8 +164,7 @@ class _Sweep:
 
 
 def family_correlation(family: SequenceFamily, sampled: int | None = None,
-                       seed: int = 0,
-                       budget_ms: int | None = None) -> CorrelationReport:
+                       seed: int = 0) -> CorrelationReport:
     """Max correlation with witnesses; asserts the family bound.
 
     sampled=None runs the exhaustive sweep over all pairs and delays
@@ -171,11 +173,13 @@ def family_correlation(family: SequenceFamily, sampled: int | None = None,
     the first maximiser in (i, u) and (i, j, u) order, or in draw order
     when sampled.
     """
+    if sampled is not None and sampled < 1:
+        raise ValidationError(f"sampled probe count {sampled} is below 1")
     N, M, bits = family.N, family.M, family.bits
     bound = corr_bound(family.q, family.t, family.d)
     exhaustive = M > 1 and sampled is None
     mode = "sampled" if M > 1 and sampled is not None else "exhaustive"
-    if exhaustive and not exhaustive_allowed(family, budget_ms):
+    if exhaustive and not exhaustive_allowed(family):
         raise ValidationError(
             f"exhaustive sweep over M={M} rows exceeds the budget; "
             "use sampled mode or raise ECSEQ_BUDGET_MS")
@@ -217,24 +221,11 @@ def family_correlation(family: SequenceFamily, sampled: int | None = None,
 # Cyclic linear complexity.
 
 def linear_complexity_cyclic(s: int, N: int) -> int:
-    """Smallest ell with a length-ell recurrence killing all cyclic shifts."""
+    """Smallest ell with a length-ell recurrence killing all cyclic shifts:
+    N - deg gcd(S(x), x^N + 1)."""
     if s == 0:
         raise ValidationError("zero sequence has no linear complexity")
-    xn1 = (1 << N) | 1
-    g = poly_gcd(s, xn1)
-    lc = N - (g.bit_length() - 1)
-    lam, rem = poly_divmod(xn1, g)
-    assert rem == 0 and lam & 1 and lam.bit_length() - 1 == lc
-    # sum_i lambda_i s_{i+u} = 0 uses the reciprocal of the annihilator,
-    # with indices taken mod N (lc = N folds the x^N term onto the constant)
-    rec = 0
-    for i in range(lc + 1):
-        if (lam >> i) & 1:
-            rec ^= 1 << (lc - i) % N
-    for u in range(N):
-        if (rec & rotate(s, u, N)).bit_count() & 1:
-            raise AssertionError("connection polynomial fails to annihilate")
-    return lc
+    return N + 1 - poly_gcd(s, (1 << N) | 1).bit_length()
 
 
 def lc_bound_check(lc_min: int, q: int, t: int, d: int) -> bool:
@@ -282,8 +273,7 @@ def family_linear_complexity(family: SequenceFamily) -> LinearComplexityReport:
 # ----------------------------------------------------------------------
 # Proof-level counting identities.
 
-def counting_identity_check(family: SequenceFamily, samples: int = 10_000,
-                            seed: int = 0) -> bool:
+def counting_identity_check(family: SequenceFamily) -> bool:
     """Per (row, delay): |2*N_0 - q - 1| <= (2d+1)*floor(2*sqrt(q)), with
     N_0 the agreement count of the row and its shift.  This Serre-form
     bound is the one the proof uses; since 2*N_0 - q - 1 = A_u + t, it
@@ -291,12 +281,12 @@ def counting_identity_check(family: SequenceFamily, samples: int = 10_000,
     """
     N, q, d = family.N, family.q, family.d
     serre = (2 * d + 1) * math.isqrt(4 * q)
-    if N <= 300:
+    if N <= _IDENTITY_EXHAUSTIVE_N:
         probes = ((i, u) for i in range(family.M) for u in range(1, N))
     else:
-        rng = random.Random(seed)
+        rng = random.Random(0)
         probes = ((rng.randrange(family.M), rng.randrange(1, N))
-                  for _ in range(samples))
+                  for _ in range(_IDENTITY_SAMPLES))
     for i, u in probes:
         s = family.bits[i]
         n0 = N - (s ^ rotate(s, u, N)).bit_count()

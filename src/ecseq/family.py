@@ -131,20 +131,15 @@ def shift_identity_check(family: SequenceFamily, curve: Curve, P: Point,
 # ECSEQ v1 serialization.
 
 def _pack_row(row: int, N: int) -> bytes:
-    nbytes = (N + 7) // 8
-    out = bytearray(nbytes)
-    for j in range(N):
-        if (row >> j) & 1:
-            out[j // 8] |= 1 << (7 - j % 8)
-    return bytes(out)
+    """Bit j of row becomes bit j of the MSB-first byte string."""
+    nbits = 8 * ((N + 7) // 8)
+    return int(format(row, f"0{nbits}b")[::-1], 2).to_bytes(nbits // 8, "big")
 
 
 def _unpack_row(data: bytes, N: int) -> int:
-    row = 0
-    for j in range(N):
-        if (data[j // 8] >> (7 - j % 8)) & 1:
-            row |= 1 << j
-    return row
+    """Inverse of _pack_row; bits past N-1 are dropped."""
+    bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
+    return int(bits[N - 1::-1], 2)
 
 
 def write_family(family: SequenceFamily, path) -> None:
@@ -187,6 +182,8 @@ def read_family(path) -> SequenceFamily:
             raw = bytes.fromhex(ln)
         except ValueError as exc:
             raise FormatError(f"bad hex row: {exc}") from exc
+        if raw.hex() != ln:
+            raise FormatError("row is not canonical lowercase hex")
         if len(raw) != nbytes:
             raise FormatError("row length does not match N")
         if raw[-1] & padding:

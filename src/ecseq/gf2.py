@@ -49,18 +49,6 @@ def poly_mod(a: int, mod: int) -> int:
     return a
 
 
-def poly_divmod(a: int, b: int) -> tuple[int, int]:
-    if b == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = 0
-    bb = b.bit_length()
-    while a.bit_length() >= bb:
-        shift = a.bit_length() - bb
-        q ^= 1 << shift
-        a ^= b << shift
-    return q, a
-
-
 def poly_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, poly_mod(a, b)

@@ -219,7 +219,7 @@ def test_criterion_8_counting_identities():
                      [((n, t), 3) for n, t in D3_INSTANCES]:
         fam = cached_family(n, t, d)
         # exhaustive per (i, u) at N <= 300, >= 10^4 samples otherwise
-        assert counting_identity_check(fam, samples=10_000), (n, t, d)
+        assert counting_identity_check(fam), (n, t, d)
     _ok(8, "proof counting identities")
 
 

@@ -89,6 +89,16 @@ def _set_padding_bit(lines):
     return lines[:2] + [lines[2][:-2] + f"{last:02x}"] + lines[3:]
 
 
+def _uppercase_rows(lines):
+    rows = [ln.upper() for ln in lines[2:]]
+    assert rows != lines[2:]  # some row has a hex letter
+    return lines[:2] + rows
+
+
+def _space_in_row(lines):
+    return lines[:2] + [lines[2][:2] + " " + lines[2][2:]] + lines[3:]
+
+
 @pytest.mark.parametrize("forge", [
     # N=1 is impossible for n=2, t=0 (N must be 5)
     lambda tmp: ["ECSEQ v1 n=2 t=0 d=2 N=1 M=2", "{}", "80", "80"],
@@ -96,11 +106,32 @@ def _set_padding_bit(lines):
     lambda tmp: _relabel_n9(_family_lines(tmp, 6, 8, 2)),
     # a valid n=3 family with a nonzero padding bit in its first row
     lambda tmp: _set_padding_bit(_family_lines(tmp, 3, 4, 2)),
-], ids=["impossible-N", "relabelled-N", "padding-bit"])
+    # rows that bytes.fromhex accepts but that are not canonical lowercase hex
+    lambda tmp: _uppercase_rows(_family_lines(tmp, 3, 4, 2)),
+    lambda tmp: _space_in_row(_family_lines(tmp, 3, 4, 2)),
+], ids=["impossible-N", "relabelled-N", "padding-bit", "uppercase-hex",
+        "space-in-hex"])
 def test_malformed_header_or_padding_exits_4(tmp_path, forge):
     forged = tmp_path / "forged.ecseq"
     forged.write_text("\n".join(forge(tmp_path)) + "\n")
     assert run(["analyze", forged]) == 4
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_sampled_below_one_exits_2(tmp_path, capsys, k):
+    fam = tmp_path / "fam.ecseq"
+    write_family(cached_family(3, 4, 2), fam)
+    assert run(["analyze", fam, "--sampled", k]) == 2
+    assert "below 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5", " 7"])
+def test_bad_budget_env_exits_2(tmp_path, capsys, monkeypatch, value):
+    fam = tmp_path / "fam.ecseq"
+    write_family(cached_family(3, 4, 2), fam)
+    monkeypatch.setenv("ECSEQ_BUDGET_MS", value)
+    assert run(["analyze", fam]) == 2
+    assert "not a non-negative integer" in capsys.readouterr().err
 
 
 def test_zero_row_rejected(tmp_path, capsys):
@@ -151,6 +182,15 @@ def test_sweep_bounds_script(capsys):
     spec.loader.exec_module(script)
     script.main(["--max-n", "4"])  # every bound asserted: raises on a failure
     assert capsys.readouterr().out.endswith("\n27 instances, all bounds hold\n")
+
+
+def test_trace_worker_imports():
+    # the traced benchmark run imports names from ecseq and ecseq.analysis
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_worker.py"
+    spec = importlib.util.spec_from_file_location("trace_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)  # runs the imports, not main()
+    assert callable(worker.main)
 
 
 def test_unknown_flag_rejected():

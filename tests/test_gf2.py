@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ecseq.gf2 import (GF2Solver, ValidationError, clmul, elem_from_hex,
                        elem_to_hex, factorize, is_irreducible, make_ext,
-                       make_field, poly_divmod, poly_gcd, poly_mod,
+                       make_field, poly_gcd, poly_mod,
                        smallest_irreducible)
 
 
@@ -36,13 +36,6 @@ def naive_irreducible(p: int) -> bool:
 @given(st.integers(0, 1 << 12), st.integers(0, 1 << 12))
 def test_clmul_matches_naive(a, b):
     assert clmul(a, b) == naive_clmul(a, b)
-
-
-@given(st.integers(1, 1 << 12), st.integers(2, 1 << 8))
-def test_divmod_reconstructs(a, b):
-    q, r = poly_divmod(a, b)
-    assert clmul(q, b) ^ r == a
-    assert r.bit_length() < b.bit_length()
 
 
 def test_irreducibility_matches_trial_division():
