@@ -14,7 +14,7 @@ import time
 
 from ecseq import (admissible_t, build_instance, family_correlation,
                    family_linear_complexity, gen_family)
-from ecseq.places import FIND_PLACE_LIMIT
+from ecseq.gf2 import MAX_EXT_DEGREE
 
 
 def main(argv=None):
@@ -29,7 +29,7 @@ def main(argv=None):
         q = 1 << n
         for t in admissible_t(n):
             for d in (2, 3):
-                if math.gcd(d, q + 1 + t) != 1 or q**d > FIND_PLACE_LIMIT:
+                if math.gcd(d, q + 1 + t) != 1 or n * d > MAX_EXT_DEGREE:
                     continue
                 t0 = time.perf_counter()
                 curve, P, ext, place, space = build_instance(n, t, d)

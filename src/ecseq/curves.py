@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .gf2 import (
@@ -150,18 +151,20 @@ class Curve:
 
     # -- point enumeration ---------------------------------------------------
 
-    def points_over(self, fld: FieldContext | None = None) -> list[Point]:
-        """All points with coordinates in fld, plus O, by x-sweep."""
+    def iter_points(self, fld: FieldContext | None = None) -> Iterator[Point]:
+        """The affine points with coordinates in fld, lazily, in (x, y) order."""
         fld = fld or self.ctx
         a1, a2, a3, a4, a6 = self.coeffs_in(fld)
         m = fld.mul
-        pts = [INFINITY]
         for x in fld.elements():
             c = m(a1, x) ^ a3
             u = m(x, m(x, x)) ^ m(a2, m(x, x)) ^ m(a4, x) ^ a6
             for y in fld.solve_quadratic(c, u):
-                pts.append(Point(x, y))
-        return pts
+                yield Point(x, y)
+
+    def points_over(self, fld: FieldContext | None = None) -> list[Point]:
+        """All points with coordinates in fld: O, then the affine points in (x, y) order."""
+        return [INFINITY, *self.iter_points(fld)]
 
     def _count_points(self) -> int:
         fld = self.ctx

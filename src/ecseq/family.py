@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .curves import (Curve, CurveSearchSpec, Point, admissible_t, ordered_points,
                      search_cyclic_curve)
-from .gf2 import ExtFieldContext, FieldContext, make_ext
+from .gf2 import ExtFieldContext, FieldContext, make_ext, make_field
 from .places import PlaceD, find_place
 from .rrspace import CurveFunction, RRSpace, eval_function, rr_basis
 
@@ -63,11 +63,11 @@ def build_instance(n: int, t: int, d: int
 
     The first cyclic curve with N = 2^n + 1 + t and its generator P, the
     degree-d extension, the first regular degree-d place and the basis of
-    L(Q).  Raises ValidationError for an inadmissible t, gcd(d, N) != 1 or
-    q^d over the place-search cap.
+    L(Q).  Raises ValidationError for q^d over the extension cap (before any
+    search), an inadmissible t or gcd(d, N) != 1.
     """
+    ext = make_ext(make_field(n), d)
     curve, P = search_cyclic_curve(CurveSearchSpec(n, t))
-    ext = make_ext(curve.ctx, d)
     place = find_place(curve, ext, d)
     return curve, P, ext, place, rr_basis(curve, ext, place)
 

@@ -5,6 +5,11 @@ of x^i (low bit = constant term).  A :class:`FieldContext` fixes the modulus
 and owns all arithmetic; elements carry no state of their own, so contexts
 are safely shareable and every operation is a pure function of its inputs.
 
+Every context builds its log/exp tables over a primitive element when it is
+constructed, so multiplication, inversion, powers and the Frobenius are
+table lookups.  Extensions are capped at 2^MAX_EXT_DEGREE elements, which
+bounds the table size; :func:`make_ext` is the one place the cap is checked.
+
 Field elements serialize as lowercase hex of the coefficient bit vector;
 a context serializes as ``{"n": ..., "modulus": <hex>}``.
 """
@@ -12,14 +17,10 @@ a context serializes as ``{"n": ..., "modulus": <hex>}``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-
-# Log/exp tables are built for fields up to this size (2^20 elements).
-TABLE_LIMIT = 1 << 20
 
 MIN_DEGREE = 2
 MAX_DEGREE = 12
-MAX_EXT_DEGREE = 24
+MAX_EXT_DEGREE = 20  # q^d <= 2^20: the largest extension (and table) built
 
 
 class ValidationError(ValueError):
@@ -152,8 +153,9 @@ class FieldContext:
         self.modulus = modulus
         self.n = modulus.bit_length() - 1
         self.q = 1 << self.n
-        self._exp: list[int] | None = None
-        self._log: list[int | None] | None = None
+        self._exp: list[int] = []
+        self._log: list[int | None] = []
+        self.build_tables()
         self.trace_mask = self._compute_trace_mask()
         self._as_solver: GF2Solver | None = None
 
@@ -166,7 +168,7 @@ class FieldContext:
             acc = a
             t = a
             for _ in range(self.n - 1):
-                t = poly_mod(clmul(t, t), self.modulus)
+                t = self.mul(t, t)
                 acc ^= t
             if acc == 1:
                 mask |= 1 << i
@@ -176,10 +178,8 @@ class FieldContext:
 
     def build_tables(self) -> None:
         """Build log/exp tables over a primitive element (idempotent)."""
-        if self._exp is not None:
+        if self._exp:
             return
-        if self.q > TABLE_LIMIT:
-            raise ValidationError(f"field of size 2^{self.n} too large for tables")
         order = self.q - 1
         factors = list(factorize(order))
         gamma = None
@@ -199,18 +199,23 @@ class FieldContext:
         self._exp = exp
         self._log = log
 
+    def _pow_raw(self, a: int, e: int) -> int:
+        """a^e by carry-less square-and-multiply, for finding a primitive element."""
+        r = 1
+        while e:
+            if e & 1:
+                r = poly_mod(clmul(r, a), self.modulus)
+            a = poly_mod(clmul(a, a), self.modulus)
+            e >>= 1
+        return r
+
     # -- arithmetic ----------------------------------------------------
 
     @staticmethod
     def add(a: int, b: int) -> int:
         return a ^ b
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        return poly_mod(clmul(a, b), self.modulus)
-
     def mul(self, a: int, b: int) -> int:
-        if self._exp is None:
-            return self._mul_raw(a, b)
         if a == 0 or b == 0:
             return 0
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
@@ -218,31 +223,17 @@ class FieldContext:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero")
-        if self._exp is None:
-            return self._pow_raw(a, self.q - 2)
         return self._exp[(-self._log[a]) % (self.q - 1)]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def _pow_raw(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return r
-
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        if self._exp is not None:
-            if a == 0:
-                return 0 if e else 1
-            return self._exp[(self._log[a] * e) % (self.q - 1)]
-        return self._pow_raw(a, e)
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("inversion of zero")
+            return 0 if e else 1
+        return self._exp[(self._log[a] * e) % (self.q - 1)]
 
     def sqrt(self, a: int) -> int:
         # squaring is bijective in characteristic 2
@@ -268,7 +259,7 @@ class FieldContext:
                 z ^= t
             return z
         if self._as_solver is None:
-            cols = [self._mul_raw(1 << i, 1 << i) ^ (1 << i) for i in range(self.n)]
+            cols = [self.mul(1 << i, 1 << i) ^ (1 << i) for i in range(self.n)]
             self._as_solver = GF2Solver(cols)
         z = self._as_solver.solve(w)
         assert z is not None
@@ -308,16 +299,10 @@ class ExtFieldContext(FieldContext):
         self.base = base
         self.d = d
         self.embed_image = self._find_embed_image()
-        self._beta_pow = [1]
-        for _ in range(base.n - 1):
-            self._beta_pow.append(self._mul_raw(self._beta_pow[-1], self.embed_image))
-        self._decode_solver = GF2Solver(self._beta_pow)
+        self._beta_pow = [self.pow(self.embed_image, i) for i in range(base.n)]
         # GF(q)-coordinates of the extension w.r.t. the basis 1, g, ..., g^(d-1)
         # where g is the extension's own polynomial generator (the class of x).
-        gpow = [1]
-        for _ in range(d - 1):
-            gpow.append(self._mul_raw(gpow[-1], 2))
-        cols = [self._mul_raw(self._beta_pow[i], gpow[k])
+        cols = [self.mul(self._beta_pow[i], self.pow(2, k))
                 for k in range(d) for i in range(base.n)]
         self._coord_solver = GF2Solver(cols)
 
@@ -325,7 +310,7 @@ class ExtFieldContext(FieldContext):
         # Roots of the base modulus lie in the Frobenius-fixed subfield, so
         # scan only the kernel of a -> a^(2^n) + a (same smallest root as a
         # full scan of the extension, much cheaper).
-        cols = [self._frobenius_q_raw(1 << i) ^ (1 << i) for i in range(self.n)]
+        cols = [self.frobenius_q(1 << i) ^ (1 << i) for i in range(self.n)]
         basis = GF2Solver(cols).null_combos
         assert len(basis) == self.base.n
         subfield = [0]
@@ -342,15 +327,10 @@ class ExtFieldContext(FieldContext):
     def _eval_gf2_poly(self, p: int, e: int) -> int:
         r = 0
         for i in range(p.bit_length() - 1, -1, -1):
-            r = self._mul_raw(r, e)
+            r = self.mul(r, e)
             if (p >> i) & 1:
                 r ^= 1
         return r
-
-    def _frobenius_q_raw(self, a: int) -> int:
-        for _ in range(self.base.n):
-            a = self._mul_raw(a, a)
-        return a
 
     def embed(self, a: int) -> int:
         """Ring embedding GF(2^n) -> GF(2^(n*d))."""
@@ -365,16 +345,14 @@ class ExtFieldContext(FieldContext):
 
     def decode(self, e: int) -> int:
         """Inverse of :meth:`embed`; raises if e is outside the subfield."""
-        a = self._decode_solver.solve(e)
-        if a is None:
+        a, *higher = self.coords(e)
+        if any(higher):
             raise ValueError("element not in the embedded base field")
         return a
 
     def frobenius_q(self, a: int) -> int:
         """q-power Frobenius a -> a^(2^n)."""
-        if self._exp is not None and a:
-            return self._exp[(self._log[a] << self.base.n) % (self.q - 1)]
-        return self._frobenius_q_raw(a)
+        return self._exp[(self._log[a] << self.base.n) % (self.q - 1)] if a else 0
 
     def coords(self, e: int) -> tuple[int, ...]:
         """GF(q)-coordinates of e w.r.t. the basis 1, g, ..., g^(d-1)."""
@@ -403,9 +381,7 @@ def make_field(n: int) -> FieldContext:
     """GF(2^n) with the lexicographically smallest irreducible modulus."""
     if not MIN_DEGREE <= n <= MAX_DEGREE:
         raise ValidationError(f"n={n} outside supported range [{MIN_DEGREE}, {MAX_DEGREE}]")
-    ctx = FieldContext(smallest_irreducible(n))
-    ctx.build_tables()
-    return ctx
+    return FieldContext(smallest_irreducible(n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -418,7 +394,7 @@ def make_ext(base: FieldContext, d: int) -> ExtFieldContext:
     if d < 1:
         raise ValidationError("relative degree must be positive")
     if base.n * d > MAX_EXT_DEGREE:
-        raise ValidationError(f"extension degree {base.n * d} exceeds {MAX_EXT_DEGREE}")
+        raise ValidationError(f"q^d = 2^{base.n * d} exceeds the cap 2^{MAX_EXT_DEGREE}")
     return _make_ext_cached(base.n, d)
 
 

@@ -14,9 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .curves import Curve, Point, _sort_key
-from .gf2 import ExtFieldContext, TABLE_LIMIT, ValidationError, elem_to_hex
-
-FIND_PLACE_LIMIT = 1 << 20  # q^d cap for scans over the extension
+from .gf2 import ExtFieldContext, ValidationError, elem_to_hex
 
 
 @dataclass(frozen=True)
@@ -41,19 +39,6 @@ class PlaceD:
             "dpoly": [elem_to_hex(c) for c in self.dpoly],
             "representative": self.representative.serialize(),
         }
-
-
-@dataclass(frozen=True)
-class PlaceCountReport:
-    d: int
-    q: int
-    t: int
-    formula: int
-    enumerated: int | None = None
-
-    @property
-    def consistent(self) -> bool:
-        return self.enumerated is None or self.enumerated == self.formula
 
 
 # ----------------------------------------------------------------------
@@ -126,25 +111,17 @@ def frobenius_orbit(ext: ExtFieldContext, P: Point) -> tuple[Point, ...]:
     return tuple(orbit)
 
 
-def _ensure_tables(ext: ExtFieldContext) -> None:
-    if ext.q <= TABLE_LIMIT:
-        ext.build_tables()
-
-
 def enumerate_places_deg_d(curve: Curve, ext: ExtFieldContext, d: int) -> list[tuple[Point, ...]]:
     """Oracle: all size-d Frobenius orbits of E(GF(q^d)), irregular included.
 
     Each orbit is rotated so its smallest (x, y) point comes first; the list
     is sorted by that representative.
     """
-    if ext.q > FIND_PLACE_LIMIT:
-        raise ValidationError(f"q^d = 2^{ext.n} exceeds the enumeration cap")
     assert ext.d == d
-    _ensure_tables(ext)
     seen: set[Point] = set()
     orbits = []
-    for P in curve.points_over(ext):
-        if P.is_infinity or P in seen:
+    for P in curve.iter_points(ext):
+        if P in seen:
             continue
         orbit = frobenius_orbit(ext, P)
         seen.update(orbit)
@@ -169,14 +146,10 @@ def _min_poly_coeffs(curve: Curve, ext: ExtFieldContext, xs: list[int]) -> tuple
 
 def _build_place(curve: Curve, ext: ExtFieldContext, R: Point, d: int) -> PlaceD | None:
     """PlaceD for R if its orbit is a regular degree-d place, else None."""
-    xs = [R.x]
-    for _ in range(d - 1):
-        xs.append(ext.frobenius_q(xs[-1]))
-    if len(set(xs)) != d or ext.frobenius_q(xs[-1]) != xs[0]:
-        return None  # x does not generate a degree-d extension
     orbit = frobenius_orbit(ext, R)
-    if len(orbit) != d:
-        return None
+    xs = [P.x for P in orbit]
+    if not len(orbit) == d == len(set(xs)):
+        return None  # orbit size is not d, or x lies in a proper subfield
     negs = {curve.neg(P, ext) for P in orbit}
     if negs & set(orbit):
         return None  # self-negating or orbit meets its own negation
@@ -184,26 +157,18 @@ def _build_place(curve: Curve, ext: ExtFieldContext, R: Point, d: int) -> PlaceD
 
 
 def find_place(curve: Curve, ext: ExtFieldContext, d: int) -> PlaceD:
-    """First regular degree-d place in x-integer scan order.
+    """First regular degree-d place in (x, y) point order.
 
     Requires gcd(d, N) = 1 so that translates of the place stay pairwise
     distinct (the construction's hypothesis).
     """
     if math.gcd(d, curve.N) != 1:
         raise ValidationError(f"gcd(d={d}, N={curve.N}) != 1")
-    if ext.q > FIND_PLACE_LIMIT:
-        raise ValidationError(f"q^d = 2^{ext.n} exceeds the search cap")
     assert ext.d == d and ext.base is curve.ctx
-    _ensure_tables(ext)
-    a1, a2, a3, a4, a6 = curve.coeffs_in(ext)
-    m = ext.mul
-    for x in ext.elements():
-        c = m(a1, x) ^ a3
-        u = m(x, m(x, x)) ^ m(a2, m(x, x)) ^ m(a4, x) ^ a6
-        for y in ext.solve_quadratic(c, u):
-            place = _build_place(curve, ext, Point(x, y), d)
-            if place is not None:
-                return place
+    for R in curve.iter_points(ext):
+        place = _build_place(curve, ext, R, d)
+        if place is not None:
+            return place
     raise SearchExhaustedPlace(f"no regular degree-{d} place found (q={curve.ctx.q}, t={curve.t})")
 
 

@@ -19,10 +19,10 @@ from ecseq.curves import (CurveSearchSpec, admissible_t,
                           enumerate_rational_points, ordered_points,
                           point_order, search_cyclic_curve, special_traces)
 from ecseq.family import enumerate_V
-from ecseq.gf2 import factorize, make_ext
-from ecseq.places import (FIND_PLACE_LIMIT, _build_place,
-                          count_places_formula, enumerate_places_deg_d,
-                          frobenius_orbit, translate_place)
+from ecseq.gf2 import MAX_EXT_DEGREE, factorize, make_ext
+from ecseq.places import (_build_place, count_places_formula,
+                          enumerate_places_deg_d, frobenius_orbit,
+                          translate_place)
 from ecseq.rrspace import check_sum_nonconstant, eval_function, rr_basis
 
 # Every d=2 instance: even admissible traces give odd N = q+1+t, so
@@ -81,7 +81,7 @@ def test_criterion_4_place_count_oracle():
         for t in admissible_t(n):
             curve, _ = cached_curve(n, t)
             for d in (2, 3):
-                if q**d > FIND_PLACE_LIMIT:
+                if n * d > MAX_EXT_DEGREE:
                     continue
                 ext = make_ext(curve.ctx, d)
                 formula = count_places_formula(q, t, d)
@@ -107,7 +107,7 @@ def test_criterion_5_group_structure():
             # extension cap (even-N curves at n in {7, 8} would need d=3
             # over 2^21+ elements and are excluded by the cap)
             for d in (2, 3):
-                if math.gcd(d, curve.N) == 1 and q**d <= FIND_PLACE_LIMIT:
+                if math.gcd(d, curve.N) == 1 and n * d <= MAX_EXT_DEGREE:
                     _, _, ext, place, _ = cached_instance(n, t, d)
                     orbits = {frozenset(translate_place(curve, place, j, P, ext).orbit)
                               for j in range(curve.N)}
@@ -119,26 +119,19 @@ def test_criterion_5_group_structure():
 
 
 def _regular_places_scan(curve, ext, d, limit=None):
-    """Regular degree-d places in deterministic x-integer scan order."""
-    a1, a2, a3, a4, a6 = curve.coeffs_in(ext)
-    m = ext.mul
+    """Regular degree-d places in deterministic (x, y) point order."""
     seen = set()
     out = []
-    for x in ext.elements():
-        c = m(a1, x) ^ a3
-        u = m(x, m(x, x)) ^ m(a2, m(x, x)) ^ m(a4, x) ^ a6
-        for y in ext.solve_quadratic(c, u):
-            from ecseq.curves import Point
-            R = Point(x, y)
-            if R in seen:
-                continue
-            place = _build_place(curve, ext, R, d)
-            if place is None:
-                continue
-            seen.update(place.orbit)
-            out.append(place)
-            if limit and len(out) >= limit:
-                return out
+    for R in curve.iter_points(ext):
+        if R in seen:
+            continue
+        place = _build_place(curve, ext, R, d)
+        if place is None:
+            continue
+        seen.update(place.orbit)
+        out.append(place)
+        if limit and len(out) >= limit:
+            return out
     return out
 
 

@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -153,8 +156,16 @@ def test_count_places_verify(tmp_path, capsys):
 
 
 def test_count_places_verify_cap(tmp_path):
-    # q^d = 2^24 over the enumeration cap
+    # q^d = 2^24 over the extension cap
     assert run(["count-places", "--n", 8, "--t", 16, "--d", 3, "--verify"]) == 2
+
+
+def test_generate_over_extension_cap_exits_2(tmp_path, capsys):
+    # q^d = 2^22: rejected before the curve search at n = 11 runs
+    out = tmp_path / "fam.ecseq"
+    assert run(["generate", "--n", 11, "--t", 1, "--d", 2, "--out", out]) == 2
+    assert "exceeds the cap" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reproduce_table2_small(tmp_path):
@@ -191,6 +202,19 @@ def test_trace_worker_imports():
     worker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(worker)  # runs the imports, not main()
     assert callable(worker.main)
+
+
+def test_benchmark_setup_probe_runs(monkeypatch):
+    # the benchmark's setup_s probe builds one extension and its tables
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # its dataclasses look it up
+    spec.loader.exec_module(bench)  # module body only, not main()
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", bench.SETUP_CODE, "3", "2"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unknown_flag_rejected():

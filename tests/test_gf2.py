@@ -246,8 +246,20 @@ def test_make_field_range():
         make_field(1)
     with pytest.raises(ValidationError):
         make_field(13)
-    with pytest.raises(ValidationError):
-        make_ext(make_field(12), 3)
+    for n, d in [(12, 3), (12, 2), (7, 3)]:  # q^d = 2^36, 2^24, 2^21 over the cap
+        with pytest.raises(ValidationError):
+            make_ext(make_field(n), d)
+
+
+# (10, 2) is the largest extension the cap admits: q^d = 2^20
+@pytest.mark.parametrize("n,d", [(n, 1) for n in range(2, 13)] + [(8, 2), (4, 4), (10, 2)])
+def test_table_arithmetic_matches_clmul_reference(n, d):
+    f = make_field(n) if d == 1 else make_ext(make_field(n), d)
+    rng = random.Random(n * 100 + d)
+    for _ in range(300):
+        a, b = rng.randrange(f.q), rng.randrange(1, f.q)
+        assert f.mul(a, b) == poly_mod(clmul(a, b), f.modulus)
+        assert poly_mod(clmul(b, f.inv(b)), f.modulus) == 1
 
 
 def test_hex_roundtrip():
