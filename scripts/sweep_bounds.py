@@ -14,6 +14,7 @@ import time
 
 from ecseq import (admissible_t, build_instance, family_correlation,
                    family_linear_complexity, gen_family)
+from ecseq.analysis import exhaustive_allowed
 from ecseq.gf2 import MAX_EXT_DEGREE
 
 
@@ -21,20 +22,19 @@ def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--max-n", type=int, default=6)
     ap.add_argument("--sampled", type=int, default=200_000,
-                    help="cross-correlation probes for large families")
+                    help="cross-correlation probes for families over the budget gate")
     args = ap.parse_args(argv)
 
     total = 0
     for n in range(2, args.max_n + 1):
-        q = 1 << n
         for t in admissible_t(n):
             for d in (2, 3):
-                if math.gcd(d, q + 1 + t) != 1 or n * d > MAX_EXT_DEGREE:
+                if math.gcd(d, (1 << n) + 1 + t) != 1 or n * d > MAX_EXT_DEGREE:
                     continue
                 t0 = time.perf_counter()
                 curve, P, ext, place, space = build_instance(n, t, d)
                 fam = gen_family(curve, P, space, ext)
-                sampled = None if (q <= 256 if d == 2 else q <= 32) else args.sampled
+                sampled = None if exhaustive_allowed(fam) else args.sampled
                 corr = family_correlation(fam, sampled=sampled)
                 lc = family_linear_complexity(fam)
                 total += 1

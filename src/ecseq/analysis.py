@@ -20,7 +20,7 @@ from operator import indexOf, xor
 from .family import SequenceFamily
 from .gf2 import ValidationError, poly_gcd
 
-EXHAUSTIVE_Q_CAP = {2: 256, 3: 64}  # per-degree default budget gates
+DEFAULT_BUDGET_MS = 10_000  # estimated exhaustive sweep time allowed without ECSEQ_BUDGET_MS
 _OPS_PER_MS = 3500  # exhaustive pair-shifts per ms, at or below the slowest measured
 _SAMPLE_BLOCK = 4096  # sampled probes held in memory at a time
 _IDENTITY_EXHAUSTIVE_N = 300  # counting identities: every (row, delay) up to this N
@@ -100,15 +100,15 @@ class LinearComplexityReport:
 
 
 def exhaustive_allowed(family: SequenceFamily) -> bool:
-    """Budget gate for exhaustive pair sweeps; ECSEQ_BUDGET_MS overrides."""
+    """Budget gate for exhaustive pair sweeps: (M(M-1)/2 + M) * N pair-shifts at
+    _OPS_PER_MS must fit in ECSEQ_BUDGET_MS, or DEFAULT_BUDGET_MS if unset."""
     env = os.environ.get("ECSEQ_BUDGET_MS")
-    if not env:
-        return family.q <= EXHAUSTIVE_Q_CAP.get(family.d, 64)
-    if not (env.isascii() and env.isdigit()):
+    if env and not (env.isascii() and env.isdigit()):
         raise ValidationError(
             f"ECSEQ_BUDGET_MS={env!r} is not a non-negative integer")
+    budget_ms = int(env) if env else DEFAULT_BUDGET_MS
     ops = (family.M * (family.M - 1) // 2 + family.M) * family.N
-    return ops <= int(env) * _OPS_PER_MS
+    return ops <= budget_ms * _OPS_PER_MS
 
 
 def _rotations(a: int, N: int) -> list[int]:

@@ -14,8 +14,8 @@ import math
 import sys
 import time
 
-from .analysis import (BoundViolationError, corr_bound, counting_identity_check,
-                       family_correlation, family_linear_complexity)
+from .analysis import (BoundViolationError, counting_identity_check,
+                       exhaustive_allowed, family_correlation, family_linear_complexity)
 from .curves import CurveSearchSpec, admissible_t, search_cyclic_curve
 from .family import (FormatError, build_instance, gen_family, read_family,
                      write_family)
@@ -97,35 +97,25 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_reproduce_table(args) -> int:
+    # Table 3: d = 2 at the largest even trace; Table 2: d = 3 at t = -1
+    table3 = args.table == 3
+    refs = TABLE3_REFERENCE if table3 else TABLE2_REFERENCE
     rows = []
-    if args.table == 3:
-        ns = args.n_values or [6, 7, 8]
-        for n in ns:
-            q = 1 << n
-            t = math.isqrt(q) if n % 2 == 0 else math.isqrt(2 * q)
-            curve, P, ext, place, space = build_instance(n, t, 2)
-            fam = gen_family(curve, P, space, ext)
-            rep = family_correlation(fam)
-            ref = TABLE3_REFERENCE.get(q, {})
-            rows.append({"q": q, "t": t, "N": fam.N, "M": fam.M,
-                         "observed_cor": rep.cor, "bound": rep.bound,
-                         "reference_cor": ref.get("corr")})
-    else:
-        ns = args.n_values or [4, 5, 6]
-        for n in ns:
-            q = 1 << n
-            curve, P, ext, place, space = build_instance(n, -1, 3)
-            fam = gen_family(curve, P, space, ext)
-            sampled = args.sampled if q > 32 else None
-            rep = family_correlation(fam, sampled=sampled, seed=args.seed)
-            ref = TABLE2_REFERENCE.get(q, {})
-            rows.append({"q": q, "t": -1, "N": fam.N, "M": fam.M,
-                         "observed_cor": rep.cor, "bound": rep.bound,
-                         "mode": rep.mode,
-                         "reference_cor": ref.get("corr"),
-                         "reference_size": ref.get("size"),
-                         "note": "reference used an unexplained subset"
-                                 if ref.get("size") not in (None, fam.M) else None})
+    for n in args.n_values or ([6, 7, 8] if table3 else [4, 5, 6]):
+        q = 1 << n
+        t = (math.isqrt(q) if n % 2 == 0 else math.isqrt(2 * q)) if table3 else -1
+        curve, P, ext, place, space = build_instance(n, t, 2 if table3 else 3)
+        fam = gen_family(curve, P, space, ext)
+        sampled = None if exhaustive_allowed(fam) else args.sampled
+        rep = family_correlation(fam, sampled=sampled, seed=args.seed)
+        ref = refs.get(q, {})
+        row = {"q": q, "t": t, "N": fam.N, "M": fam.M, "observed_cor": rep.cor,
+               "bound": rep.bound, "mode": rep.mode, "reference_cor": ref.get("corr")}
+        if not table3:
+            row["reference_size"] = ref.get("size")
+            row["note"] = ("reference used an unexplained subset"
+                           if ref.get("size") not in (None, fam.M) else None)
+        rows.append(row)
     _emit({"table": args.table, "rows": rows}, args.out)
     return 0
 

@@ -8,7 +8,6 @@ the coordinates belong to (curve coefficients are embedded as needed).
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -100,10 +99,6 @@ class Curve:
         lhs = m(y, y) ^ m(a1, m(x, y)) ^ m(a3, y)
         rhs = m(x, m(x, x)) ^ m(a2, m(x, x)) ^ m(a4, x) ^ a6
         return lhs == rhs
-
-    def _require_on_curve(self, P: Point, fld: FieldContext) -> None:
-        if not self.on_curve(P, fld):
-            raise ValidationError(f"point {P} not on curve")
 
     # -- group law ----------------------------------------------------------
 
@@ -257,82 +252,73 @@ def point_order(curve: Curve, P: Point, factored_N: dict[int, int]) -> int:
 def is_cyclic(curve: Curve) -> tuple[bool, Point | None]:
     """Whether the rational-point group is cyclic; witness generator if so.
 
-    The witness is the order-N point with the smallest (x, y) integer pair.
+    The witness is the order-N point with the smallest (x, y) integer pair:
+    the first that Curve.iter_points yields.
     """
     factored = factorize(curve.N)
-    for P in enumerate_rational_points(curve):
-        if P.is_infinity:
-            continue
+    for P in curve.iter_points():
         if point_order(curve, P, factored) == curve.N:
             return True, P
     return curve.N == 1, None
 
 
-@functools.cache
-def _ordinary_count_table(ctx: FieldContext) -> list[int]:
-    """h0[a6] counts x != 0 with Tr(x + sqrt(a6)/x) == 0; the ordinary
-    sweep's point count only depends on (Tr(a2), a6)."""
-    tbl = [0] * ctx.q
-    for a6 in range(1, ctx.q):
-        s = ctx.sqrt(a6)
-        cnt = 0
-        for x in range(1, ctx.q):
-            if ctx.trace(x ^ ctx.div(s, x)) == 0:
-                cnt += 1
-        tbl[a6] = cnt
-    return tbl
+def _ordinary_models(ctx: FieldContext, N: int) -> Iterator[tuple[int, ...]]:
+    """y^2 + xy = x^3 + a2 x^2 + a6 (a6 != 0) with N points, in (a2, a6) lex order.
 
-
-def _search_ordinary(ctx: FieldContext, N: int):
-    """Sweep y^2 + xy = x^3 + a2 x^2 + a6 (a6 != 0) in (a2, a6) lex order."""
-    h0 = _ordinary_count_table(ctx)
+    2 + 2*h0 points at Tr(a2) = 0, else 2 + 2*(q-1-h0), where h0 counts the
+    x != 0 with Tr(x) = Tr(sqrt(a6)/x).  With x = sqrt(a6)*y that is
+    cnt[sqrt(a6)] - 1, cnt the agreements of g(y) = Tr(1/y), g(0) = 0.
+    """
     q = ctx.q
+    cnt = ctx.trace_agreements([ctx.trace(ctx.inv(y)) if y else 0 for y in ctx.elements()])
+    h0 = [cnt[ctx.sqrt(a6)] - 1 for a6 in range(1, q)]
+    hits = ([a6 for a6, h in enumerate(h0, 1) if 2 + 2 * h == N],
+            [a6 for a6, h in enumerate(h0, 1) if 2 + 2 * (q - 1 - h) == N])
     for a2 in range(q):
-        tr2 = ctx.trace(a2)
-        for a6 in range(1, q):
-            h = h0[a6] if tr2 == 0 else (q - 1 - h0[a6])
-            if 2 + 2 * h != N:
-                continue
-            curve = Curve(ctx, 1, a2, 0, 0, a6)
-            assert curve.N == N
-            ok, gen = is_cyclic(curve)
-            if ok:
-                return curve, gen
-    raise SearchExhaustedError(f"no cyclic ordinary curve with N={N} over GF(2^{ctx.n})")
+        for a6 in hits[ctx.trace(a2)]:
+            yield (1, a2, 0, 0, a6)
 
 
-def _search_supersingular(ctx: FieldContext, N: int):
-    """Sweep y^2 + a3 y = x^3 + a4 x + a6 (a3 != 0) in (a3, a4, a6) lex order."""
-    q = ctx.q
+def _supersingular_models(ctx: FieldContext, N: int) -> Iterator[tuple[int, ...]]:
+    """y^2 + a3 y = x^3 + a4 x + a6 (a3 != 0) with N points, in (a3, a4, a6) lex order.
+
+    With w = a3^-2: 1 + 2*cnt0 points at Tr(w*a6) = 0, else 1 + 2*(q-cnt0),
+    where cnt0 = #{x : Tr(w*x^3) = Tr(w*a4*x)} = cnt[w*a4]: one transform per a3.
+    """
+    q, mul, trace = ctx.q, ctx.mul, ctx.trace
     for a3 in range(1, q):
-        w = ctx.inv(ctx.mul(a3, a3))
+        w = ctx.inv(mul(a3, a3))
+        cnt = ctx.trace_agreements([trace(mul(w, ctx.pow(x, 3))) for x in ctx.elements()])
         for a4 in range(q):
-            wa4 = ctx.mul(w, a4)
-            cnt0 = 0
-            for x in range(q):
-                if ctx.trace(ctx.mul(w, ctx.mul(x, ctx.mul(x, x))) ^ ctx.mul(wa4, x)) == 0:
-                    cnt0 += 1
+            cnt0 = cnt[mul(w, a4)]
+            if N - 1 not in (2 * cnt0, 2 * (q - cnt0)):
+                continue
             for a6 in range(q):
-                h = cnt0 if ctx.trace(ctx.mul(w, a6)) == 0 else q - cnt0
-                if 1 + 2 * h != N:
-                    continue
-                curve = Curve(ctx, 0, 0, a3, a4, a6)
-                assert curve.N == N
-                ok, gen = is_cyclic(curve)
-                if ok:
-                    return curve, gen
-    raise SearchExhaustedError(
-        f"no cyclic supersingular curve with N={N} over GF(2^{ctx.n})")
+                h = cnt0 if trace(mul(w, a6)) == 0 else q - cnt0
+                if 1 + 2 * h == N:
+                    yield (0, 0, a3, a4, a6)
 
 
 def search_cyclic_curve(spec: CurveSearchSpec) -> tuple[Curve, Point]:
-    """First cyclic curve (lexicographic coefficient order) with N = q+1+t."""
+    """First cyclic curve (lexicographic coefficient order) with N = q+1+t.
+
+    Odd t sweeps ordinary models, even t supersingular ones.  Both count
+    points by the Walsh identity #{x : f(x) = Tr(c*x)} = (q + sum_x
+    (-1)^(f(x) + Tr(c*x))) / 2 (FieldContext.trace_agreements), checked by
+    Curve's direct count.
+    """
     spec.validate()
     ctx = make_field(spec.n)
     N = ctx.q + 1 + spec.t
-    if spec.t % 2:
-        return _search_ordinary(ctx, N)
-    return _search_supersingular(ctx, N)
+    models = _ordinary_models if spec.t % 2 else _supersingular_models
+    for coeffs in models(ctx, N):
+        curve = Curve(ctx, *coeffs)
+        assert curve.N == N  # a wrong transform fails here
+        ok, gen = is_cyclic(curve)
+        if ok:
+            return curve, gen
+    raise SearchExhaustedError(
+        f"no cyclic {spec.model_family} curve with N={N} over GF(2^{ctx.n})")
 
 
 def ordered_points(curve: Curve, P: Point) -> list[Point]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .curves import (Curve, CurveSearchSpec, Point, admissible_t, ordered_points,
                      search_cyclic_curve)
-from .gf2 import ExtFieldContext, FieldContext, make_ext, make_field
+from .gf2 import MAX_EXT_DEGREE, ExtFieldContext, FieldContext, make_ext, make_field
 from .places import PlaceD, find_place
 from .rrspace import CurveFunction, RRSpace, eval_function, rr_basis
 
@@ -165,8 +165,9 @@ def read_family(path) -> SequenceFamily:
     except (KeyError, ValueError, IndexError) as exc:
         raise FormatError(f"bad ECSEQ header or provenance: {exc}") from exc
     # each test guards the next: admissible_t needs 2 <= n <= 12, and the
-    # size of M is only computed for a valid n and d
-    if not (2 <= n <= 12 and d in (2, 3) and t in admissible_t(n)):
+    # size of M is only computed for a valid n and d (n*d capped as in generate)
+    if not (2 <= n <= 12 and d in (2, 3) and n * d <= MAX_EXT_DEGREE
+            and t in admissible_t(n)):
         raise FormatError(f"unsupported header n={n} t={t} d={d}")
     if N != (1 << n) + 1 + t or math.gcd(d, N) != 1:
         raise FormatError(f"N={N} is not 2^n+1+t coprime to d={d}")

@@ -17,6 +17,7 @@ a context serializes as ``{"n": ..., "modulus": <hex>}``.
 from __future__ import annotations
 
 import functools
+from operator import add, sub
 
 MIN_DEGREE = 2
 MAX_DEGREE = 12
@@ -245,6 +246,25 @@ class FieldContext:
 
     def elements(self) -> range:
         return range(self.q)
+
+    def trace_agreements(self, f: list[int]) -> list[int]:
+        """cnt[c] = #{x : f[x] == Tr(c*x)} for every c, from the bits f[0..q-1].
+
+        Tr(c*x) is the parity of L(c) & x (bit i of L(c) is Tr(c*2^i)), so
+        cnt[c] = (q + F[L(c)]) / 2 with F the Walsh-Hadamard transform of (-1)^f.
+        """
+        q = self.q
+        v = [1 - 2 * b for b in f]
+        for h in (1 << k for k in range(self.n)):  # butterflies of span h
+            for i in range(0, q, 2 * h):
+                lo, hi = v[i:i + h], v[i + h:i + 2 * h]
+                v[i:i + h] = map(add, lo, hi)
+                v[i + h:i + 2 * h] = map(sub, lo, hi)
+        masks = [0]  # masks[c] = L(c), by linearity from L(2^j)
+        for j in range(self.n):
+            lj = sum(self.trace(self.mul(1 << j, 1 << i)) << i for i in range(self.n))
+            masks += [m ^ lj for m in masks]
+        return [(q + v[m]) >> 1 for m in masks]
 
     # -- char-2 quadratics ---------------------------------------------
 

@@ -221,6 +221,8 @@ def test_criterion_8_counting_identities():
 FAMILY_SHA256 = {
     (3, 4, 2): "50cee6330eb7f09691503565a9af8a7019758aff3b66d0c15ef94885d59915d9",
     (6, 8, 2): "9f6d68c610737aa80e380b6c7dc4b146f5910255e68250dbb941de13ee3ae588",
+    # ordinary model (odd t) on the Tr(a2) = 1 branch of the sweep
+    (5, 1, 3): "1db9ad4c0ab238c140ce4d1e6efb213bfa3e2e24cf0ba49e03a9f6195d2f8fb8",
 }
 
 

@@ -164,6 +164,13 @@ def test_budget_gate(monkeypatch):
     monkeypatch.delenv("ECSEQ_BUDGET_MS")
     small = cached_family(3, 4, 2)
     assert exhaustive_allowed(small)
+    # the default budget, by estimated time: (8,16,2) ~2.5 s and (5,-1,3)
+    # ~4.8 s run exhaustively, (9,32,2) ~20 s and (6,-1,3) ~153 s do not
+    for (n, t, d), allowed in {(8, 16, 2): True, (5, -1, 3): True,
+                               (9, 32, 2): False, (6, -1, 3): False}.items():
+        N, M = (1 << n) + 1 + t, (1 << n * (d - 1)) - 1
+        fam = SequenceFamily(n=n, t=t, d=d, N=N, M=M, bits=[])
+        assert exhaustive_allowed(fam) is allowed, (n, t, d)
 
 
 def test_single_sequence_family_degenerate():

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -102,6 +103,15 @@ def _space_in_row(lines):
     return lines[:2] + [lines[2][:2] + " " + lines[2][2:]] + lines[3:]
 
 
+def _over_cap_n11():
+    # a well-formed n=11 d=2 header (n*d = 22 > MAX_EXT_DEGREE) over random
+    # rows with zero padding: generate refuses this instance
+    rng = random.Random(0)
+    rows = [(rng.randbytes(256) + bytes([rng.randrange(2) << 7])).hex()
+            for _ in range(2047)]
+    return ["ECSEQ v1 n=11 t=0 d=2 N=2049 M=2047", "{}", *rows]
+
+
 @pytest.mark.parametrize("forge", [
     # N=1 is impossible for n=2, t=0 (N must be 5)
     lambda tmp: ["ECSEQ v1 n=2 t=0 d=2 N=1 M=2", "{}", "80", "80"],
@@ -112,8 +122,9 @@ def _space_in_row(lines):
     # rows that bytes.fromhex accepts but that are not canonical lowercase hex
     lambda tmp: _uppercase_rows(_family_lines(tmp, 3, 4, 2)),
     lambda tmp: _space_in_row(_family_lines(tmp, 3, 4, 2)),
+    lambda tmp: _over_cap_n11(),
 ], ids=["impossible-N", "relabelled-N", "padding-bit", "uppercase-hex",
-        "space-in-hex"])
+        "space-in-hex", "over-cap-n11"])
 def test_malformed_header_or_padding_exits_4(tmp_path, forge):
     forged = tmp_path / "forged.ecseq"
     forged.write_text("\n".join(forge(tmp_path)) + "\n")
@@ -175,6 +186,22 @@ def test_reproduce_table2_small(tmp_path):
     assert row["q"] == 16 and row["t"] == -1
     assert row["N"] == 16 and row["M"] == 255
     assert row["observed_cor"] <= row["bound"] == 7 * 8 + 1
+
+
+def test_exhaustive_over_default_budget(tmp_path, capsys, monkeypatch):
+    # d=3 q=64: ~537 M pair-shifts, estimated ~150 s, over the default budget
+    monkeypatch.delenv("ECSEQ_BUDGET_MS", raising=False)
+    fam = tmp_path / "fam.ecseq"
+    write_family(cached_family(6, -1, 3), fam)
+    assert run(["analyze", fam]) == 2
+    assert "exceeds the budget" in capsys.readouterr().err
+    # reproduce-table asks the same gate and samples the q=512 row instead
+    out = tmp_path / "t3.json"
+    assert run(["reproduce-table", "--table", 3, "--n", 9, "--sampled", 1000,
+                "--out", out]) == 0
+    row = json.loads(out.read_text())["rows"][0]
+    assert (row["q"], row["mode"]) == (512, "sampled")
+    assert row["observed_cor"] <= row["bound"]
 
 
 def test_reproduce_table3_small(tmp_path):

@@ -115,6 +115,36 @@ def test_search_succeeds_for_all_admissible(n):
         assert point_order(curve, gen, factorize(curve.N)) == curve.N
 
 
+def _models_in_lex_order(q, t):
+    """The documented sweep: ordinary (a2, a6 != 0), supersingular (a3 != 0, a4, a6)."""
+    if t % 2:
+        return ((1, a2, 0, 0, a6) for a2 in range(q) for a6 in range(1, q))
+    return ((0, 0, a3, a4, a6) for a3 in range(1, q) for a4 in range(q) for a6 in range(q))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_search_returns_first_cyclic_model_in_lex_order(n):
+    # brute-force reference: direct point count and the sorted point-set
+    # oracle, with no count table or transform
+    ctx = make_field(n)
+    for t in admissible_t(n):
+        N = ctx.q + 1 + t
+        for coeffs in _models_in_lex_order(ctx.q, t):
+            curve = Curve(ctx, *coeffs)
+            if curve.N != N:
+                continue
+            factored = factorize(N)
+            gens = [P for P in enumerate_rational_points(curve)
+                    if not P.is_infinity and point_order(curve, P, factored) == N]
+            if gens:
+                break
+        else:
+            raise AssertionError(f"no cyclic model for n={n} t={t}")
+        got, gen = search_cyclic_curve(CurveSearchSpec(n, t))
+        assert (got.a1, got.a2, got.a3, got.a4, got.a6) == coeffs
+        assert gen == gens[0]
+
+
 def test_ordered_points_bijection():
     curve, gen = cached_curve(4, 1)
     pts = ordered_points(curve, gen)

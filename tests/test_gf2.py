@@ -136,6 +136,21 @@ def test_trace_properties(n):
     assert ones == f.q // 2  # balanced
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_trace_agreements_matches_direct_count(n):
+    # the two Boolean functions the curve search transforms: Tr(1/y) with
+    # 0 -> 0, and Tr(w*x^3) for a few w
+    f = make_field(n)
+    rng = random.Random(n)
+    funcs = [[f.trace(f.inv(y)) if y else 0 for y in f.elements()]]
+    for w in (1, *rng.sample(range(2, f.q), 2)):
+        funcs.append([f.trace(f.mul(w, f.pow(x, 3))) for x in f.elements()])
+    for bits in funcs:
+        want = [sum(bits[x] == f.trace(f.mul(c, x)) for x in f.elements())
+                for c in f.elements()]
+        assert f.trace_agreements(bits) == want
+
+
 # -- quadratic solver ---------------------------------------------------------
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
