@@ -13,8 +13,8 @@ from .family import (FormatError, SequenceFamily, build_instance, enumerate_V,
                      gen_family, read_family, write_family)
 from .gf2 import (ExtFieldContext, FieldContext, ValidationError, make_ext,
                   make_field)
-from .places import (PlaceD, count_places_formula, enumerate_places_deg_d,
-                     find_place, translate_place)
+from .places import (PlaceD, count_place_orbits, count_places_formula,
+                     enumerate_places_deg_d, find_place, translate_place)
 from .rrspace import CurveFunction, RRSpace, eval_function, rr_basis
 
 __version__ = "1.0.0"

@@ -111,14 +111,14 @@ def exhaustive_allowed(family: SequenceFamily) -> bool:
     return ops <= budget_ms * _OPS_PER_MS
 
 
-def _rotations(a: int, N: int) -> list[int]:
-    """rotate(a, -u, N) for u = 0..N-1, built in C as windows of a|a<<N.
+def _rotations(a: int, N: int, count: int) -> list[int]:
+    """rotate(a, -u, N) for u = 0..count-1, built in C as windows of a|a<<N.
 
     Rotation preserves popcount, so popcount(a ^ rotate(b, u, N)) equals
     popcount(rots[u] ^ b): one row's table serves every partner b.
     """
     mask = (1 << N) - 1
-    return list(map(mask.__and__, map((a | a << N).__rshift__, range(N, 0, -1))))
+    return list(map(mask.__and__, map((a | a << N).__rshift__, range(N, N - count, -1))))
 
 
 def _popcounts(rots: list[int], partners) -> Iterator[int]:
@@ -186,8 +186,11 @@ def family_correlation(family: SequenceFamily, sampled: int | None = None,
     auto = _Sweep(N, bound, "auto (i, u)")
     cross = _Sweep(N, bound, "cross (i, j, u)")
     for i, a in enumerate(bits):
-        rots = _rotations(a, N)
-        auto.fold(lambda: _popcounts(rots[1:], (a,)), lambda k: (i, k + 1))
+        rots = _rotations(a, N, N if exhaustive else N // 2 + 1)
+        # A_u(a) = A_{N-u}(a): sweep u <= N/2 and mirror it into u = 1..N-1
+        half = list(_popcounts(rots[1:N // 2 + 1], (a,)))
+        pcs = half + half[:(N - 1) // 2][::-1]
+        auto.fold(lambda: pcs, lambda k: (i, k + 1))
         if exhaustive:
             cross.fold(lambda: _popcounts(rots, bits[i + 1:]),
                        lambda k: (i, i + 1 + k // N, k % N))

@@ -20,7 +20,7 @@ from .curves import CurveSearchSpec, admissible_t, search_cyclic_curve
 from .family import (FormatError, build_instance, gen_family, read_family,
                      write_family)
 from .gf2 import ValidationError, make_ext, make_field
-from .places import count_places_formula, enumerate_places_deg_d
+from .places import count_place_orbits, count_places_formula
 
 # Published reference values, reported alongside our results but never
 # asserted: the instances behind them (curve, place, generator) are not
@@ -127,7 +127,7 @@ def cmd_count_places(args) -> int:
     if args.verify:
         ext = make_ext(make_field(args.n), args.d)
         curve, _ = search_cyclic_curve(CurveSearchSpec(args.n, args.t))
-        enumerated = len(enumerate_places_deg_d(curve, ext, args.d))
+        enumerated = count_place_orbits(curve, ext, args.d)
     consistent = enumerated in (None, formula)
     _emit({"d": args.d, "q": q, "t": args.t, "formula": formula,
            "enumerated": enumerated, "consistent": consistent}, args.out)

@@ -9,7 +9,7 @@ the coordinates belong to (curve coefficients are embedded as needed).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .gf2 import (
@@ -146,12 +146,14 @@ class Curve:
 
     # -- point enumeration ---------------------------------------------------
 
-    def iter_points(self, fld: FieldContext | None = None) -> Iterator[Point]:
-        """The affine points with coordinates in fld, lazily, in (x, y) order."""
+    def iter_points(self, fld: FieldContext | None = None,
+                    xs: Iterable[int] | None = None) -> Iterator[Point]:
+        """The affine points with coordinates in fld, lazily, in (x, y) order;
+        only those over xs (in its order) when given."""
         fld = fld or self.ctx
         a1, a2, a3, a4, a6 = self.coeffs_in(fld)
         m = fld.mul
-        for x in fld.elements():
+        for x in fld.elements() if xs is None else xs:
             c = m(a1, x) ^ a3
             u = m(x, m(x, x)) ^ m(a2, m(x, x)) ^ m(a4, x) ^ a6
             for y in fld.solve_quadratic(c, u):

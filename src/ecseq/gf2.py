@@ -189,13 +189,18 @@ class FieldContext:
                 gamma = g
                 break
         assert gamma is not None
+        # a -> a*gamma is GF(2)-linear, so it is lo[low h bits] ^ hi[high bits]
+        h = self.n // 2
+        low = (1 << h) - 1
+        lo = [poly_mod(clmul(a, gamma), self.modulus) for a in range(1 << h)]
+        hi = [poly_mod(clmul(a << h, gamma), self.modulus) for a in range(1 << (self.n - h))]
         exp = [0] * order
         log: list[int | None] = [None] * self.q
         acc = 1
         for i in range(order):
             exp[i] = acc
             log[acc] = i
-            acc = poly_mod(clmul(acc, gamma), self.modulus)
+            acc = lo[acc & low] ^ hi[acc >> h]
         assert acc == 1
         self._exp = exp
         self._log = log

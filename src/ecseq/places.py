@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import xor
 
-from .curves import Curve, Point, _sort_key
+from .curves import INFINITY, Curve, Point, _sort_key
 from .gf2 import ExtFieldContext, ValidationError, elem_to_hex
 
 
@@ -111,23 +112,92 @@ def frobenius_orbit(ext: ExtFieldContext, P: Point) -> tuple[Point, ...]:
     return tuple(orbit)
 
 
+# The place oracle: the size-d Frobenius orbits of E(GF(q^d)), found from
+# field arithmetic alone.  It never uses the zeta-function side above (N,
+# t, the power sums or Moebius inversion), so it can check that side.  The
+# x values of a point orbit form one q-Frobenius orbit of x, so the sweep
+# goes by x:
+#   * x whose x-orbit has size d: one leader per x-orbit.  The fibre over
+#     it, y^2 + c*y = u, has k points: 1 if c = 0, else 2 if Tr(u/c^2) = 0
+#     and none if it is 1.  They lie in k distinct point orbits of size d.
+#   * x in a proper subfield GF(q^e), e | d (few), and O: their orbits are
+#     followed point by point with frobenius_orbit.
+
+def _leader_fibres(curve: Curve, ext: ExtFieldContext) -> list[tuple[int, int, int]]:
+    """(x, c, u) for one x of each size-d x-orbit whose fibre y^2 + c*y = u
+    is nonempty; the fibre holds 1 point if c = 0, else 2.
+
+    With x = gamma^L, the q-Frobenius multiplies L by q modulo q^d - 1, so
+    the leader is the L below each L*q^i, 0 < i < d (an L equal to one of
+    them has a shorter x-orbit).  The fibre test is Tr(u/c^2) = 0, as in
+    Curve._count_points, in log-table arithmetic.
+    """
+    exp, log, order = ext._exp, ext._log, ext.q - 1
+    logs = range(order)
+    for i in range(1, ext.d):
+        qi = ext.base.q ** i
+        logs = [L for L in logs if L < L * qi % order]
+    a1, a2, a3, a4, a6 = curve.coeffs_in(ext)
+
+    def times(a: int, k: int) -> list[int]:  # a * x^k for every leader x
+        if not a:
+            return [0] * len(logs)
+        return [exp[(k * L + log[a]) % order] for L in logs]
+
+    cs = times(a1, 1)
+    us = map(xor, map(xor, times(1, 3), times(a2, 2)), times(a4, 1))
+    tm = ext.trace_mask
+    out = []
+    for L, c, u in zip(logs, cs, us):
+        c ^= a3
+        u ^= a6
+        if not c or not u or not (exp[(log[u] - 2 * log[c]) % order] & tm).bit_count() & 1:
+            out.append((exp[L], c, u))
+    return out
+
+
+def _subfield_orbits(curve: Curve, ext: ExtFieldContext) -> list[tuple[Point, ...]]:
+    """The size-d point orbits over x in the proper subfields of GF(q^d),
+    and (O,) when d = 1."""
+    d, order = ext.d, ext.q - 1
+    logs = {L for e in range(1, d) if d % e == 0
+            for L in range(0, order, order // (ext.base.q ** e - 1))}
+    seen: set[Point] = set()
+    orbits = []
+    for P in (INFINITY, *curve.iter_points(ext, [0, *(ext._exp[L] for L in logs)])):
+        if P not in seen:
+            orbit = frobenius_orbit(ext, P)
+            seen.update(orbit)
+            if len(orbit) == d:
+                orbits.append(orbit)
+    return orbits
+
+
+def count_place_orbits(curve: Curve, ext: ExtFieldContext, d: int) -> int:
+    """Oracle: the number of size-d Frobenius orbits of E(GF(q^d)).
+
+    Counts what :func:`enumerate_places_deg_d` lists, without building the
+    points: each x-orbit leader adds its fibre size.
+    """
+    assert ext.d == d
+    return (len(_subfield_orbits(curve, ext))
+            + sum(1 if c == 0 else 2 for _, c, _ in _leader_fibres(curve, ext)))
+
+
 def enumerate_places_deg_d(curve: Curve, ext: ExtFieldContext, d: int) -> list[tuple[Point, ...]]:
     """Oracle: all size-d Frobenius orbits of E(GF(q^d)), irregular included.
 
     Each orbit is rotated so its smallest (x, y) point comes first; the list
-    is sorted by that representative.
+    is sorted by that representative.  y is solved for only over x-orbit
+    leaders with a nonempty fibre.
     """
     assert ext.d == d
-    seen: set[Point] = set()
-    orbits = []
-    for P in curve.iter_points(ext):
-        if P in seen:
-            continue
-        orbit = frobenius_orbit(ext, P)
-        seen.update(orbit)
-        if len(orbit) == d:
-            k = min(range(d), key=lambda i: _sort_key(orbit[i]))
-            orbits.append(orbit[k:] + orbit[:k])
+    orbits = _subfield_orbits(curve, ext)
+    for x, c, u in _leader_fibres(curve, ext):
+        orbits += (frobenius_orbit(ext, Point(x, y)) for y in ext.solve_quadratic(c, u))
+    for j, orbit in enumerate(orbits):
+        k = min(range(d), key=lambda i: _sort_key(orbit[i]))
+        orbits[j] = orbit[k:] + orbit[:k]
     orbits.sort(key=lambda o: _sort_key(o[0]))
     return orbits
 

@@ -127,6 +127,39 @@ def test_family_correlation_kernel_matches_naive_loop(n, t, d):
     assert hist[max_auto] > 2 and hist[max_cross] > 2
 
 
+@pytest.mark.parametrize("N", [2, 3, 4, 7, 8, 63, 64, 100, 101])
+def test_autocorrelation_half_sweep_matches_full_sweep(N):
+    # n=12, d=3 gives bound 896 >= N, so random rows never violate it
+    rng = random.Random(N)
+    rows = [rng.randrange(1 << N) for _ in range(8)]
+    rows.append(int("01" * N, 2) & ((1 << N) - 1))  # period 2: ties at many u
+    for s in rows:
+        full = [autocorrelation(s, u, N) for u in range(1, N)]
+        rep = family_correlation(SequenceFamily(n=12, t=0, d=3, N=N, M=1, bits=[s]))
+        assert rep.histogram == Counter(full)
+        assert rep.max_auto == max(full)
+        assert rep.auto_witness == (0, 1 + full.index(max(full)))
+    # sampled mode builds only the rotations u <= N/2
+    fam = SequenceFamily(n=12, t=0, d=3, N=N, M=len(rows), bits=rows)
+    exhaustive, sampled = family_correlation(fam), family_correlation(fam, sampled=1)
+    assert (sampled.max_auto, sampled.auto_witness) == (exhaustive.max_auto,
+                                                        exhaustive.auto_witness)
+    assert sum(sampled.histogram.values()) == len(rows) * (N - 1) + 1
+
+
+@pytest.mark.parametrize("N", [40, 41])
+def test_autocorrelation_violation_location(N):
+    # s = 0101...: |A_u| is far over the q=4 bound 21 at both extremes; the
+    # report names the first u of the maximum, which is checked first
+    s = int("01" * N, 2) & ((1 << N) - 1)
+    fake = SequenceFamily(n=2, t=1, d=2, N=N, M=1, bits=[s])
+    full = [autocorrelation(s, u, N) for u in range(1, N)]
+    assert max(full) > 21 and min(full) < -21
+    first = 1 + full.index(max(full))
+    with pytest.raises(BoundViolationError, match=rf"auto \(i, u\) = \(0, {first}\)"):
+        family_correlation(fake)
+
+
 def test_negative_correlation_violation_raises():
     fam = cached_family(7, 16, 2)
     N, s = fam.N, fam.bits[0]

@@ -164,6 +164,10 @@ def test_count_places_verify(tmp_path, capsys):
     assert blob["consistent"] is True
     assert run(["count-places", "--n", 6, "--t", 8, "--d", 3, "--out", out]) == 0
     assert json.loads(out.read_text())["enumerated"] is None
+    # degree 1: the rational points, O included
+    assert run(["count-places", "--n", 3, "--t", 4, "--d", 1,
+                "--verify", "--out", out]) == 0
+    assert json.loads(out.read_text())["enumerated"] == 13
 
 
 def test_count_places_verify_cap(tmp_path):

@@ -1,5 +1,6 @@
 """Field arithmetic: irreducibility, axioms, trace, quadratics, embeddings."""
 
+import math
 import random
 
 import pytest
@@ -275,6 +276,21 @@ def test_table_arithmetic_matches_clmul_reference(n, d):
         a, b = rng.randrange(f.q), rng.randrange(1, f.q)
         assert f.mul(a, b) == poly_mod(clmul(a, b), f.modulus)
         assert poly_mod(clmul(b, f.inv(b)), f.modulus) == 1
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_tables_match_clmul_rebuild(n):
+    f = make_field(n)
+    order = f.q - 1
+    gamma = f._exp[1]
+    # gamma is the smallest primitive element: g generates iff gcd(log g, q-1) = 1
+    assert all(math.gcd(f._log[g], order) > 1 for g in range(2, gamma))
+    assert math.gcd(f._log[gamma], order) == 1
+    acc = 1
+    for i in range(order):
+        assert f._exp[i] == acc and f._log[acc] == i
+        acc = poly_mod(clmul(acc, gamma), f.modulus)
+    assert acc == 1 and len(f._exp) == order and f._log[0] is None
 
 
 def test_hex_roundtrip():

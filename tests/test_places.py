@@ -1,16 +1,35 @@
 """Degree-d places: counting formula vs enumeration, regularity, translation."""
 
 import math
+import random
 
 import pytest
 
 from conftest import cached_curve, cached_instance
-from ecseq.curves import Point, admissible_t
-from ecseq.gf2 import ValidationError, make_ext
-from ecseq.places import (count_places_formula, enumerate_places_deg_d,
-                          find_place, frobenius_orbit, frobenius_power_sums,
-                          moebius, point_frobenius, translate_place,
-                          waring_power_sum)
+from ecseq.curves import INFINITY, Curve, Point, _sort_key, admissible_t
+from ecseq.gf2 import ValidationError, make_ext, make_field
+from ecseq.places import (count_place_orbits, count_places_formula,
+                          enumerate_places_deg_d, find_place, frobenius_orbit,
+                          frobenius_power_sums, moebius, point_frobenius,
+                          translate_place, waring_power_sum)
+
+
+def per_point_enumeration(curve, ext, d):
+    """Reference oracle: every point of E(GF(q^d)), its Frobenius orbit, and
+    a seen set; orbits rotated to their smallest (x, y) point, then sorted."""
+    assert ext.d == d
+    seen: set[Point] = set()
+    orbits = []
+    for P in curve.iter_points(ext):
+        if P in seen:
+            continue
+        orbit = frobenius_orbit(ext, P)
+        seen.update(orbit)
+        if len(orbit) == d:
+            k = min(range(d), key=lambda i: _sort_key(orbit[i]))
+            orbits.append(orbit[k:] + orbit[:k])
+    orbits.sort(key=lambda o: _sort_key(o[0]))
+    return orbits
 
 
 def test_moebius_values():
@@ -49,6 +68,48 @@ def test_place_count_pinned(n, t, d, expected):
     assert count_places_formula(1 << n, t, d) == expected
     ext = make_ext(curve.ctx, d)
     assert len(enumerate_places_deg_d(curve, ext, d)) == expected
+    assert count_place_orbits(curve, ext, d) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_enumeration_matches_per_point_reference(n):
+    for t in admissible_t(n):
+        curve, _ = cached_curve(n, t)
+        for d in (2, 3):
+            ext = make_ext(curve.ctx, d)
+            assert (enumerate_places_deg_d(curve, ext, d)
+                    == per_point_enumeration(curve, ext, d)), (n, t, d)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_count_place_orbits_matches_enumeration(n):
+    for t in admissible_t(n):
+        curve, _ = cached_curve(n, t)
+        for d in (2, 3):
+            ext = make_ext(curve.ctx, d)
+            assert (count_place_orbits(curve, ext, d)
+                    == len(enumerate_places_deg_d(curve, ext, d))), (n, t, d)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_oracle_on_general_weierstrass_models(n):
+    # a1 and a3 both nonzero: c = a1*x + a3 vanishes at x = a3/a1, so the
+    # fibre over it is one point (a leader only when d = 1)
+    ctx = make_field(n)
+    rng = random.Random(n)
+    curves = []
+    while len(curves) < 4:
+        try:
+            curves.append(Curve(ctx, *(rng.randrange(1, ctx.q) for _ in range(5))))
+        except ValidationError:  # singular
+            pass
+    for curve in curves:
+        for d in (1, 2, 3):
+            ext = make_ext(ctx, d)
+            orbits = enumerate_places_deg_d(curve, ext, d)
+            assert orbits == [(INFINITY,)] * (d == 1) + per_point_enumeration(curve, ext, d)
+            assert (count_place_orbits(curve, ext, d) == len(orbits)
+                    == count_places_formula(ctx.q, curve.t, d)), (curve, d)
 
 
 def test_place_count_formula_equals_enumeration_sweep():
@@ -63,6 +124,13 @@ def test_place_count_formula_equals_enumeration_sweep():
 def test_degree_one_count_is_point_count():
     assert count_places_formula(8, 4, 1) == 13
     assert count_places_formula(64, 8, 1) == 73
+    for n, t in [(3, 4), (4, 0), (5, -1)]:
+        curve, _ = cached_curve(n, t)
+        ext = make_ext(curve.ctx, 1)
+        orbits = enumerate_places_deg_d(curve, ext, 1)
+        assert orbits[0] == (INFINITY,)
+        assert (count_place_orbits(curve, ext, 1) == len(orbits) == curve.N
+                == count_places_formula(1 << n, t, 1))
 
 
 @pytest.mark.parametrize("n,t,d", [(3, 4, 2), (3, 4, 3), (4, 0, 2), (4, -1, 3)])
