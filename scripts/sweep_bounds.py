@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """End-to-end bound sweep: every admissible (n, t, d) pair at desk scale.
 
-For each instance the full pipeline runs and both the correlation bound and
-the linear-complexity bound are hard-asserted.  A nonzero exit means a bound
-failed somewhere (which would falsify the construction, not just a test).
+For each instance the full pipeline runs and the correlation bound, the
+Serre-form counting identities and the linear-complexity bound are
+hard-asserted.  A nonzero exit means a bound failed somewhere (which would
+falsify the construction, not just a test).
 
 Usage: python3 scripts/sweep_bounds.py [--max-n 6]
 """
@@ -36,6 +37,7 @@ def main(argv=None):
                 fam = gen_family(curve, P, space, ext)
                 sampled = None if exhaustive_allowed(fam) else args.sampled
                 corr = family_correlation(fam, sampled=sampled)
+                assert corr.identities_ok, (n, t, d)
                 lc = family_linear_complexity(fam)
                 total += 1
                 print(f"n={n} t={t:>3} d={d}  N={fam.N:>4} M={fam.M:>5}  "

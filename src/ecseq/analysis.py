@@ -23,8 +23,6 @@ from .gf2 import ValidationError, poly_gcd
 DEFAULT_BUDGET_MS = 10_000  # estimated exhaustive sweep time allowed without ECSEQ_BUDGET_MS
 _OPS_PER_MS = 3500  # exhaustive pair-shifts per ms, at or below the slowest measured
 _SAMPLE_BLOCK = 4096  # sampled probes held in memory at a time
-_IDENTITY_EXHAUSTIVE_N = 300  # counting identities: every (row, delay) up to this N
-_IDENTITY_SAMPLES = 10_000  # and this many seed-0 random probes above it
 
 
 class BoundViolationError(AssertionError):
@@ -66,6 +64,7 @@ class CorrelationReport:
     auto_witness: tuple[int, int] | None   # (i, u); None when N = 1
     cross_witness: tuple[int, int, int] | None  # (i, j, u)
     mode: str                               # "exhaustive" or "sampled"
+    identities_ok: bool                     # counting_identity_check's verdict
     samples: int | None = None
     seed: int | None = None
 
@@ -130,6 +129,22 @@ def _popcounts(rots: list[int], partners) -> Iterator[int]:
     return map(int.bit_count, map(xor, each, cycle(rots)))
 
 
+def _auto_sweeps(bits: list[int], N: int, count: int) -> Iterator[tuple[list[int], list[int]]]:
+    """(_rotations(a, N, count), auto popcounts for u = 1..N-1) per row a.
+    A_u(a) = A_{N-u}(a), so only u <= N/2 < count is swept, then mirrored."""
+    for a in bits:
+        rots = _rotations(a, N, count)
+        half = list(_popcounts(rots[1:N // 2 + 1], (a,)))
+        yield rots, half + half[:(N - 1) // 2][::-1]
+
+
+def _serre_holds(family: SequenceFamily, popcounts: Iterable[int]) -> bool:
+    """|2*N_0 - q - 1| <= (2d+1)*floor(2*sqrt(q)), N_0 = N - popcount, for each."""
+    N, q = family.N, family.q
+    serre = (2 * family.d + 1) * math.isqrt(4 * q)
+    return all(abs(2 * (N - pc) - q - 1) <= serre for pc in popcounts)
+
+
 class _Sweep:
     """Popcount histogram and first maximiser of one correlation kind."""
 
@@ -185,11 +200,8 @@ def family_correlation(family: SequenceFamily, sampled: int | None = None,
             "use sampled mode or raise ECSEQ_BUDGET_MS")
     auto = _Sweep(N, bound, "auto (i, u)")
     cross = _Sweep(N, bound, "cross (i, j, u)")
-    for i, a in enumerate(bits):
-        rots = _rotations(a, N, N if exhaustive else N // 2 + 1)
-        # A_u(a) = A_{N-u}(a): sweep u <= N/2 and mirror it into u = 1..N-1
-        half = list(_popcounts(rots[1:N // 2 + 1], (a,)))
-        pcs = half + half[:(N - 1) // 2][::-1]
+    sweeps = _auto_sweeps(bits, N, N if exhaustive else N // 2 + 1)
+    for i, (rots, pcs) in enumerate(sweeps):
         auto.fold(lambda: pcs, lambda k: (i, k + 1))
         if exhaustive:
             cross.fold(lambda: _popcounts(rots, bits[i + 1:]),
@@ -216,6 +228,7 @@ def family_correlation(family: SequenceFamily, sampled: int | None = None,
         N=N, M=M, bound=bound, max_auto=auto.max, max_cross=max_cross,
         cor=cor, histogram=hist, auto_witness=auto.witness,
         cross_witness=cross.witness, mode=mode,
+        identities_ok=_serre_holds(family, auto.popcounts),
         samples=sampled if mode == "sampled" else None,
         seed=seed if mode == "sampled" else None)
 
@@ -280,19 +293,8 @@ def counting_identity_check(family: SequenceFamily) -> bool:
     """Per (row, delay): |2*N_0 - q - 1| <= (2d+1)*floor(2*sqrt(q)), with
     N_0 the agreement count of the row and its shift.  This Serre-form
     bound is the one the proof uses; since 2*N_0 - q - 1 = A_u + t, it
-    implies |A_u| <= the family bound.  Exhaustive at N <= 300, sampled above.
+    implies |A_u| <= the family bound.  Exhaustive; family_correlation
+    reports the same verdict as identities_ok.
     """
-    N, q, d = family.N, family.q, family.d
-    serre = (2 * d + 1) * math.isqrt(4 * q)
-    if N <= _IDENTITY_EXHAUSTIVE_N:
-        probes = ((i, u) for i in range(family.M) for u in range(1, N))
-    else:
-        rng = random.Random(0)
-        probes = ((rng.randrange(family.M), rng.randrange(1, N))
-                  for _ in range(_IDENTITY_SAMPLES))
-    for i, u in probes:
-        s = family.bits[i]
-        n0 = N - (s ^ rotate(s, u, N)).bit_count()
-        if abs(2 * n0 - q - 1) > serre:
-            return False
-    return True
+    sweeps = _auto_sweeps(family.bits, family.N, family.N // 2 + 1)
+    return _serre_holds(family, chain.from_iterable(pcs for _, pcs in sweeps))

@@ -14,8 +14,8 @@ import math
 import sys
 import time
 
-from .analysis import (BoundViolationError, counting_identity_check,
-                       exhaustive_allowed, family_correlation, family_linear_complexity)
+from .analysis import (BoundViolationError, exhaustive_allowed,
+                       family_correlation, family_linear_complexity)
 from .curves import CurveSearchSpec, admissible_t, search_cyclic_curve
 from .family import (FormatError, build_instance, gen_family, read_family,
                      write_family)
@@ -78,20 +78,17 @@ def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     lc = family_linear_complexity(fam)
     timings["linear_complexity_s"] = round(time.perf_counter() - t0, 3)
-    t0 = time.perf_counter()
-    identities_ok = counting_identity_check(fam)
-    timings["counting_identity_s"] = round(time.perf_counter() - t0, 3)
     bundle = {
         "family_file": args.family,
         "family_sha256": digest,
         "config": {"n": fam.n, "t": fam.t, "d": fam.d, "N": fam.N, "M": fam.M},
         "correlation": corr.as_dict(),
         "linear_complexity": lc.as_dict(),
-        "counting_identities_ok": identities_ok,
+        "counting_identities_ok": corr.identities_ok,
         "timings": timings,
     }
     _emit(bundle, args.out)
-    if not identities_ok:
+    if not corr.identities_ok:
         raise BoundViolationError("counting identity check failed")
     return 0
 

@@ -59,7 +59,7 @@ class Curve:
         if self._discriminant() == 0:
             raise ValidationError("singular curve")
         self._embedded: dict[int, tuple[int, ...]] = {}
-        self.N = self._count_points()
+        self.N = 1 + sum(1 for _ in self.iter_points())
         self.t = self.N - ctx.q - 1
         if self.t * self.t > 4 * ctx.q:
             raise AssertionError("Serre bound violated; counting bug")
@@ -162,20 +162,6 @@ class Curve:
     def points_over(self, fld: FieldContext | None = None) -> list[Point]:
         """All points with coordinates in fld: O, then the affine points in (x, y) order."""
         return [INFINITY, *self.iter_points(fld)]
-
-    def _count_points(self) -> int:
-        fld = self.ctx
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
-        m = fld.mul
-        n = 1
-        for x in fld.elements():
-            c = m(a1, x) ^ a3
-            u = m(x, m(x, x)) ^ m(a2, m(x, x)) ^ m(a4, x) ^ a6
-            if c == 0:
-                n += 1
-            elif fld.trace(fld.div(u, m(c, c))) == 0:
-                n += 2
-        return n
 
     def serialize(self) -> dict:
         out = self.ctx.serialize()

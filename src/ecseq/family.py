@@ -72,7 +72,8 @@ def build_instance(n: int, t: int, d: int
     return curve, P, ext, place, rr_basis(curve, ext, place)
 
 
-def gen_family(curve: Curve, P: Point, space: RRSpace, ext=None) -> SequenceFamily:
+def gen_family(curve: Curve, P: Point, space: RRSpace,
+               ext: ExtFieldContext) -> SequenceFamily:
     """The full M x N bit matrix with regeneration provenance.
 
     Tr(c * b(P_j)) is GF(2)-linear in c, so the rows are the GF(2) span of
@@ -94,7 +95,7 @@ def gen_family(curve: Curve, P: Point, space: RRSpace, ext=None) -> SequenceFami
     bits = rows[1:]
     prov = {
         "field": ctx.serialize(),
-        "ext_field": ext.serialize() if ext is not None else None,
+        "ext_field": ext.serialize(),
         "curve": curve.serialize(),
         "generator": P.serialize(),
         "place": space.place.serialize(),

@@ -275,14 +275,6 @@ class FieldContext:
 
     def _artin_schreier_root(self, w: int) -> int:
         """One root z of z^2 + z = w, assuming trace(w) == 0."""
-        if self.n & 1:
-            z = w
-            t = w
-            for _ in range((self.n - 1) // 2):
-                t = self.mul(t, t)
-                t = self.mul(t, t)
-                z ^= t
-            return z
         if self._as_solver is None:
             cols = [self.mul(1 << i, 1 << i) ^ (1 << i) for i in range(self.n)]
             self._as_solver = GF2Solver(cols)

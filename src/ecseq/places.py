@@ -130,7 +130,7 @@ def _leader_fibres(curve: Curve, ext: ExtFieldContext) -> list[tuple[int, int, i
     With x = gamma^L, the q-Frobenius multiplies L by q modulo q^d - 1, so
     the leader is the L below each L*q^i, 0 < i < d (an L equal to one of
     them has a shorter x-orbit).  The fibre test is Tr(u/c^2) = 0, as in
-    Curve._count_points, in log-table arithmetic.
+    FieldContext.solve_quadratic, in log-table arithmetic.
     """
     exp, log, order = ext._exp, ext._log, ext.q - 1
     logs = range(order)

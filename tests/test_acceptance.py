@@ -12,8 +12,9 @@ import pytest
 
 from conftest import cached_curve, cached_family, cached_instance
 from ecseq.analysis import (corr_bound, counting_identity_check,
-                            family_correlation, family_linear_complexity,
-                            lc_bound_check, linear_complexity_cyclic, rotate)
+                            exhaustive_allowed, family_correlation,
+                            family_linear_complexity, lc_bound_check,
+                            linear_complexity_cyclic, rotate)
 from ecseq.cli import main as cli_main
 from ecseq.curves import (CurveSearchSpec, admissible_t,
                           enumerate_rational_points, ordered_points,
@@ -66,7 +67,7 @@ def test_criterion_3_d3_families():
         fam = cached_family(n, t, 3)
         assert fam.M == q * q - 1  # full family size
         assert fam.N == q
-        sampled = None if n <= 5 else 1_000_000
+        sampled = None if exhaustive_allowed(fam) else 1_000_000
         rep = family_correlation(fam, sampled=sampled, seed=0)
         assert rep.cor <= 7 * math.isqrt(4 * q) + 1
         if sampled:
@@ -211,7 +212,7 @@ def test_criterion_8_counting_identities():
     for (n, t), d in [((n, t), 2) for n, t in D2_INSTANCES] + \
                      [((n, t), 3) for n, t in D3_INSTANCES]:
         fam = cached_family(n, t, d)
-        # exhaustive per (i, u) at N <= 300, >= 10^4 samples otherwise
+        # exhaustive over every (i, u)
         assert counting_identity_check(fam), (n, t, d)
     _ok(8, "proof counting identities")
 

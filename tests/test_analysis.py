@@ -1,5 +1,6 @@
 """Correlation sweeps, cyclic linear complexity, and bound checks."""
 
+import math
 import random
 from collections import Counter
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cached_family
+from conftest import cached_family, serre_breaking_family
 from ecseq.analysis import (BoundViolationError, autocorrelation, corr_bound,
                             counting_identity_check, crosscorrelation,
                             exhaustive_allowed, family_correlation,
@@ -283,8 +284,21 @@ def test_family_lc_bound_violation_detected():
 
 
 def test_counting_identities():
-    assert counting_identity_check(cached_family(3, 4, 2))
-    assert counting_identity_check(cached_family(3, 4, 3))
+    for fam in (cached_family(3, 4, 2), cached_family(3, 4, 3)):
+        assert counting_identity_check(fam)
+        assert family_correlation(fam).identities_ok == counting_identity_check(fam)
+
+
+def test_counting_identity_failure_at_two_delays_is_found():
+    fam = serre_breaking_family()
+    N, t = fam.N, fam.t
+    serre = 5 * math.isqrt(4 * fam.q)
+    auto = {(i, u): autocorrelation(s, u, N)
+            for i, s in enumerate(fam.bits) for u in range(1, N)}
+    assert [iu for iu, a in auto.items() if abs(a + t) > serre] == [(300, 7), (300, 538)]
+    assert max(map(abs, auto.values())) <= corr_bound(fam.q, t, fam.d) == 257
+    assert counting_identity_check(fam) is False
+    assert family_correlation(fam, sampled=10_000).identities_ok is False
 
 
 def test_bound_violation_raises():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import cached_family
+from conftest import cached_family, serre_breaking_family
 from ecseq.cli import main
 from ecseq.family import write_family
 
@@ -42,6 +42,13 @@ def test_generate_analyze_roundtrip(tmp_path):
     assert bundle["linear_complexity"]["lc_min"] >= 1
     assert bundle["counting_identities_ok"] is True
     assert len(bundle["family_sha256"]) == 64
+
+
+def test_analyze_exits_3_on_counting_identity_failure(tmp_path):
+    fam, rep = tmp_path / "forged.ecseq", tmp_path / "rep.json"
+    write_family(serre_breaking_family(), fam)
+    assert run(["analyze", fam, "--sampled", 1000, "--out", rep]) == 3
+    assert json.loads(rep.read_text())["counting_identities_ok"] is False
 
 
 def test_generate_is_deterministic(tmp_path):
