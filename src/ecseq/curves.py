@@ -240,10 +240,21 @@ def point_order(curve: Curve, P: Point, factored_N: dict[int, int]) -> int:
 def is_cyclic(curve: Curve) -> tuple[bool, Point | None]:
     """Whether the rational-point group is cyclic; witness generator if so.
 
-    The witness is the order-N point with the smallest (x, y) integer pair:
-    the first that Curve.iter_points yields.
+    It is Z/n1 x Z/n2 with n2 | gcd(n1, q - 1): it is not cyclic iff for a
+    prime ell with ell^2 | N and ell | q - 1, the Sylow subgroup (generated
+    by the [N/ell^v]P) has no point of order ell^v.  The witness is the
+    order-N point with the smallest (x, y), the first from iter_points.
     """
     factored = factorize(curve.N)
+    for ell, v in factored.items():
+        if v > 1 and (curve.ctx.q - 1) % ell == 0:
+            size, sylow, points = ell**v, {INFINITY}, curve.iter_points()
+            while len(sylow) < size:  # join the next [N/ell^v]P to the subgroup
+                R = curve.scalar_mul(curve.N // size, next(points))
+                while new := {curve.add(S, R) for S in sylow} - sylow:
+                    sylow |= new
+            if all(curve.scalar_mul(size // ell, S).is_infinity for S in sylow):
+                return False, None
     for P in curve.iter_points():
         if point_order(curve, P, factored) == curve.N:
             return True, P

@@ -5,10 +5,12 @@ of x^i (low bit = constant term).  A :class:`FieldContext` fixes the modulus
 and owns all arithmetic; elements carry no state of their own, so contexts
 are safely shareable and every operation is a pure function of its inputs.
 
-Every context builds its log/exp tables over a primitive element when it is
-constructed, so multiplication, inversion, powers and the Frobenius are
-table lookups.  Extensions are capped at 2^MAX_EXT_DEGREE elements, which
-bounds the table size; :func:`make_ext` is the one place the cap is checked.
+A base field builds log/exp tables on construction, for table-lookup
+arithmetic.  An extension is carry-less: it multiplies by clmul, inverts by
+extended Euclid, and maps GF(2)-linearly (q-Frobenius, square root) by split
+lookups of 2 * 2^(m/2) entries.  Only the place oracle builds an extension's
+log/exp tables (:meth:`FieldContext.build_tables`); MAX_EXT_DEGREE bounds
+them, and :func:`make_ext` is the one place that cap is checked.
 
 Field elements serialize as lowercase hex of the coefficient bit vector;
 a context serializes as ``{"n": ..., "modulus": <hex>}``.
@@ -21,7 +23,7 @@ from operator import add, sub
 
 MIN_DEGREE = 2
 MAX_DEGREE = 12
-MAX_EXT_DEGREE = 20  # q^d <= 2^20: the largest extension (and table) built
+MAX_EXT_DEGREE = 20  # q^d <= 2^20: the largest extension, and so the oracle's log/exp tables
 
 
 class ValidationError(ValueError):
@@ -33,12 +35,13 @@ class ValidationError(ValueError):
 
 def clmul(a: int, b: int) -> int:
     """Carry-less product of two GF(2) polynomials."""
+    if a.bit_count() < b.bit_count():
+        a, b = b, a
     r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
+    while b:  # one step per set bit of the sparser factor
+        low = b & -b
+        r ^= a * low
+        b ^= low
     return r
 
 
@@ -55,6 +58,17 @@ def poly_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, poly_mod(a, b)
     return a
+
+
+def split_lookup(images: list[int]) -> tuple[list[int], list[int], int]:
+    """(lo, hi, h) such that a -> lo[a & (1 << h) - 1] ^ hi[a >> h] is the
+    GF(2)-linear map sending 1 << i to images[i]."""
+    h = len(images) // 2
+    lo, hi = [0], [0]
+    for i, v in enumerate(images):
+        part = lo if i < h else hi
+        part += [e ^ v for e in part]
+    return lo, hi, h
 
 
 def factorize(m: int) -> dict[int, int]:
@@ -108,9 +122,8 @@ def smallest_irreducible(m: int) -> int:
 class GF2Solver:
     """Solve ``sum_j z_j * col_j = w`` over GF(2) for fixed columns.
 
-    Columns and right-hand sides are bit-vector ints.  The solution is
-    returned as an int whose bit j selects column j; ``None`` means w is
-    outside the column span.
+    Columns and right-hand sides are bit-vector ints; a solution is an int
+    whose bit j selects column j.
     """
 
     def __init__(self, cols: list[int]):
@@ -133,13 +146,13 @@ class GF2Solver:
             ]
             self.pivots.append((pb, c, combo))
 
-    def solve(self, w: int) -> int | None:
-        z = 0
-        for pb, pv, pc in self.pivots:
-            if (w >> pb) & 1:
-                w ^= pv
-                z ^= pc
-        return z if w == 0 else None
+    def lookup(self, width: int) -> tuple[list[int], list[int], int]:
+        """The solution map on width-bit w in the column span, as a split_lookup:
+        the reduced pivots each fire on their own lead bit of w (linearly)."""
+        images = [0] * width
+        for pb, _, pc in self.pivots:
+            images[pb] = pc
+        return split_lookup(images)
 
 
 # ----------------------------------------------------------------------
@@ -156,25 +169,27 @@ class FieldContext:
         self.q = 1 << self.n
         self._exp: list[int] = []
         self._log: list[int | None] = []
-        self.build_tables()
+        # the bits x^n.. of a carry-less product reduce GF(2)-linearly
+        self._reduce = split_lookup([poly_mod(1 << self.n + i, modulus) for i in range(self.n - 1)])
+        self._init_arithmetic()
         self.trace_mask = self._compute_trace_mask()
-        self._as_solver: GF2Solver | None = None
+        # z -> z^2 + z, linear onto the trace-0 hyperplane: one root of z^2 + z = w
+        self._as_root = GF2Solver([self.mul(1 << i, 1 << i) ^ (1 << i)
+                                   for i in range(self.n)]).lookup(self.n)
+
+    def _init_arithmetic(self) -> None:
+        self.build_tables()
 
     # -- construction helpers ------------------------------------------
 
     def _compute_trace_mask(self) -> int:
         mask = 0
         for i in range(self.n):
-            a = 1 << i
-            acc = a
-            t = a
+            acc = t = 1 << i
             for _ in range(self.n - 1):
                 t = self.mul(t, t)
                 acc ^= t
-            if acc == 1:
-                mask |= 1 << i
-            elif acc != 0:  # pragma: no cover - trace lands in GF(2)
-                raise AssertionError("trace escaped GF(2)")
+            mask |= acc << i  # the trace is 0 or 1
         return mask
 
     def build_tables(self) -> None:
@@ -182,18 +197,11 @@ class FieldContext:
         if self._exp:
             return
         order = self.q - 1
-        factors = list(factorize(order))
-        gamma = None
-        for g in range(2, self.q):
-            if all(self._pow_raw(g, order // p) != 1 for p in factors):
-                gamma = g
-                break
-        assert gamma is not None
-        # a -> a*gamma is GF(2)-linear, so it is lo[low h bits] ^ hi[high bits]
-        h = self.n // 2
+        gamma = next(g for g in range(2, self.q)
+                     if all(self._clmul_pow(g, order // p) != 1 for p in factorize(order)))
+        # a -> a*gamma is GF(2)-linear
+        lo, hi, h = split_lookup([self._clmul_mod(1 << i, gamma) for i in range(self.n)])
         low = (1 << h) - 1
-        lo = [poly_mod(clmul(a, gamma), self.modulus) for a in range(1 << h)]
-        hi = [poly_mod(clmul(a << h, gamma), self.modulus) for a in range(1 << (self.n - h))]
         exp = [0] * order
         log: list[int | None] = [None] * self.q
         acc = 1
@@ -202,16 +210,24 @@ class FieldContext:
             log[acc] = i
             acc = lo[acc & low] ^ hi[acc >> h]
         assert acc == 1
-        self._exp = exp
-        self._log = log
+        self._exp, self._log = exp, log
 
-    def _pow_raw(self, a: int, e: int) -> int:
-        """a^e by carry-less square-and-multiply, for finding a primitive element."""
+    def _clmul_mod(self, a: int, b: int) -> int:
+        """a*b without tables: poly_mod(clmul(a, b), modulus)."""
+        p = clmul(a, b)
+        t = p >> self.n
+        lo, hi, h = self._reduce
+        return (p & self.q - 1) ^ lo[t & (1 << h) - 1] ^ hi[t >> h]
+
+    def _clmul_pow(self, a: int, e: int) -> int:
+        """a^e by carry-less square-and-multiply (inverting first if e < 0)."""
+        if e < 0:
+            a, e = self.inv(a), -e
         r = 1
         while e:
             if e & 1:
-                r = poly_mod(clmul(r, a), self.modulus)
-            a = poly_mod(clmul(a, a), self.modulus)
+                r = self._clmul_mod(r, a)
+            a = self._clmul_mod(a, a)
             e >>= 1
         return r
 
@@ -273,15 +289,6 @@ class FieldContext:
 
     # -- char-2 quadratics ---------------------------------------------
 
-    def _artin_schreier_root(self, w: int) -> int:
-        """One root z of z^2 + z = w, assuming trace(w) == 0."""
-        if self._as_solver is None:
-            cols = [self.mul(1 << i, 1 << i) ^ (1 << i) for i in range(self.n)]
-            self._as_solver = GF2Solver(cols)
-        z = self._as_solver.solve(w)
-        assert z is not None
-        return z
-
     def solve_quadratic(self, c: int, u: int) -> tuple[int, ...]:
         """All roots y of y^2 + c*y = u, sorted."""
         if c == 0:
@@ -289,8 +296,8 @@ class FieldContext:
         w = self.div(u, self.mul(c, c))
         if self.trace(w):
             return ()
-        z = self._artin_schreier_root(w)
-        y0 = self.mul(c, z)
+        lo, hi, h = self._as_root
+        y0 = self.mul(c, lo[w & (1 << h) - 1] ^ hi[w >> h])
         y1 = y0 ^ c
         return (y0, y1) if y0 < y1 else (y1, y0)
 
@@ -309,56 +316,47 @@ class ExtFieldContext(FieldContext):
     The embedding sends the base field's polynomial generator to
     ``embed_image``, the smallest root (by integer representation) of the
     base modulus inside the extension.
+
+    Its arithmetic is table-free (build_tables serves the place oracle).
     """
 
     def __init__(self, base: FieldContext, d: int):
+        self.base, self.d = base, d
         super().__init__(smallest_irreducible(base.n * d))
-        self.base = base
-        self.d = d
         self.embed_image = self._find_embed_image()
-        self._beta_pow = [self.pow(self.embed_image, i) for i in range(base.n)]
+        beta_pow = [self.pow(self.embed_image, i) for i in range(base.n)]
+        self._embed = split_lookup(beta_pow)
         # GF(q)-coordinates of the extension w.r.t. the basis 1, g, ..., g^(d-1)
         # where g is the extension's own polynomial generator (the class of x).
-        cols = [self.mul(self._beta_pow[i], self.pow(2, k))
-                for k in range(d) for i in range(base.n)]
-        self._coord_solver = GF2Solver(cols)
+        cols = [self.mul(b, self.pow(2, k)) for k in range(d) for b in beta_pow]
+        self._coords = GF2Solver(cols).lookup(self.n)
+
+    def _init_arithmetic(self) -> None:
+        # a -> a^(2^k) is GF(2)-linear: k = n is the q-Frobenius (the identity
+        # when d = 1), k = m - 1 the square root
+        images = [[1 << i for i in range(self.n)]]
+        while len(images) < self.n:
+            images.append([self.mul(a, a) for a in images[-1]])
+        self._frob = split_lookup(images[self.base.n % self.n])
+        self._sqrt = split_lookup(images[-1])
 
     def _find_embed_image(self) -> int:
-        # Roots of the base modulus lie in the Frobenius-fixed subfield, so
-        # scan only the kernel of a -> a^(2^n) + a (same smallest root as a
-        # full scan of the extension, much cheaper).
+        # The roots of the base modulus lie in the subfield, the kernel of
+        # a -> a^(2^n) + a: scan it in increasing order up to the first root.
         cols = [self.frobenius_q(1 << i) ^ (1 << i) for i in range(self.n)]
         basis = GF2Solver(cols).null_combos
         assert len(basis) == self.base.n
         subfield = [0]
         for b in basis:
             subfield += [e ^ b for e in subfield]
-        best = None
-        for e in subfield:
-            if e and self._eval_gf2_poly(self.base.modulus, e) == 0:
-                if best is None or e < best:
-                    best = e
-        assert best is not None, "base modulus has no root in the extension"
-        return best
-
-    def _eval_gf2_poly(self, p: int, e: int) -> int:
-        r = 0
-        for i in range(p.bit_length() - 1, -1, -1):
-            r = self.mul(r, e)
-            if (p >> i) & 1:
-                r ^= 1
-        return r
+        p = self.base.modulus
+        return next(e for e in sorted(subfield) if e and not functools.reduce(  # Horner
+            lambda r, i: self.mul(r, e) ^ (p >> i) & 1, range(self.base.n, -1, -1), 0))
 
     def embed(self, a: int) -> int:
         """Ring embedding GF(2^n) -> GF(2^(n*d))."""
-        r = 0
-        i = 0
-        while a:
-            if a & 1:
-                r ^= self._beta_pow[i]
-            a >>= 1
-            i += 1
-        return r
+        lo, hi, h = self._embed
+        return lo[a & (1 << h) - 1] ^ hi[a >> h]
 
     def decode(self, e: int) -> int:
         """Inverse of :meth:`embed`; raises if e is outside the subfield."""
@@ -367,24 +365,42 @@ class ExtFieldContext(FieldContext):
             raise ValueError("element not in the embedded base field")
         return a
 
+    # -- carry-less arithmetic --------------------------------------------
+
+    # the table-free product and power that build_tables itself uses
+    mul, pow = FieldContext._clmul_mod, FieldContext._clmul_pow
+
+    def inv(self, a: int) -> int:
+        """Extended Euclid over GF(2)[x]: u = g1*a and v = g2*a throughout."""
+        if a == 0:
+            raise ZeroDivisionError("inversion of zero")
+        u, v, g1, g2 = a, self.modulus, 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2, j = v, u, g2, g1, -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
+
+    def sqrt(self, a: int) -> int:
+        lo, hi, h = self._sqrt
+        return lo[a & (1 << h) - 1] ^ hi[a >> h]
+
     def frobenius_q(self, a: int) -> int:
         """q-power Frobenius a -> a^(2^n)."""
-        return self._exp[(self._log[a] << self.base.n) % (self.q - 1)] if a else 0
+        lo, hi, h = self._frob
+        return lo[a & (1 << h) - 1] ^ hi[a >> h]
 
     def coords(self, e: int) -> tuple[int, ...]:
         """GF(q)-coordinates of e w.r.t. the basis 1, g, ..., g^(d-1)."""
-        z = self._coord_solver.solve(e)
-        assert z is not None
-        n = self.base.n
-        mask = (1 << n) - 1
-        return tuple((z >> (k * n)) & mask for k in range(self.d))
+        lo, hi, h = self._coords
+        z = lo[e & (1 << h) - 1] ^ hi[e >> h]
+        return tuple((z >> k * self.base.n) & self.base.q - 1 for k in range(self.d))
 
     def serialize(self) -> dict:
-        out = super().serialize()
-        out["base_n"] = self.base.n
-        out["d"] = self.d
-        out["embed_image"] = format(self.embed_image, "x")
-        return out
+        return {**super().serialize(), "base_n": self.base.n, "d": self.d,
+                "embed_image": format(self.embed_image, "x")}
 
     def __repr__(self) -> str:
         return f"ExtFieldContext(n={self.base.n}, d={self.d})"

@@ -130,8 +130,10 @@ def _leader_fibres(curve: Curve, ext: ExtFieldContext) -> list[tuple[int, int, i
     With x = gamma^L, the q-Frobenius multiplies L by q modulo q^d - 1, so
     the leader is the L below each L*q^i, 0 < i < d (an L equal to one of
     them has a shorter x-orbit).  The fibre test is Tr(u/c^2) = 0, as in
-    FieldContext.solve_quadratic, in log-table arithmetic.
+    FieldContext.solve_quadratic, in log-table arithmetic: the oracle alone
+    builds and reads the extension's log/exp tables.
     """
+    ext.build_tables()
     exp, log, order = ext._exp, ext._log, ext.q - 1
     logs = range(order)
     for i in range(1, ext.d):
@@ -159,6 +161,7 @@ def _leader_fibres(curve: Curve, ext: ExtFieldContext) -> list[tuple[int, int, i
 def _subfield_orbits(curve: Curve, ext: ExtFieldContext) -> list[tuple[Point, ...]]:
     """The size-d point orbits over x in the proper subfields of GF(q^d),
     and (O,) when d = 1."""
+    ext.build_tables()
     d, order = ext.d, ext.q - 1
     logs = {L for e in range(1, d) if d % e == 0
             for L in range(0, order, order // (ext.base.q ** e - 1))}
@@ -194,9 +197,14 @@ def enumerate_places_deg_d(curve: Curve, ext: ExtFieldContext, d: int) -> list[t
     assert ext.d == d
     orbits = _subfield_orbits(curve, ext)
     for x, c, u in _leader_fibres(curve, ext):
-        orbits += (frobenius_orbit(ext, Point(x, y)) for y in ext.solve_quadratic(c, u))
+        for y in ext.solve_quadratic(c, u):
+            orbit = [Point(x, y)]  # the x-orbit has size d, so the point orbit does
+            while len(orbit) < d:
+                orbit.append(point_frobenius(ext, orbit[-1]))
+            orbits.append(tuple(orbit))
     for j, orbit in enumerate(orbits):
-        k = min(range(d), key=lambda i: _sort_key(orbit[i]))
+        keys = list(map(_sort_key, orbit))
+        k = keys.index(min(keys))
         orbits[j] = orbit[k:] + orbit[:k]
     orbits.sort(key=lambda o: _sort_key(o[0]))
     return orbits

@@ -255,6 +255,23 @@ def test_benchmark_setup_probe_runs(monkeypatch):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_runs_without_numpy(tmp_path):
+    # the package promises pure Python: generate and analyze, in a fresh
+    # interpreter, import no numpy (installed here, so it would import)
+    root = Path(__file__).resolve().parents[1]
+    fam, rep = tmp_path / "fam.ecseq", tmp_path / "rep.json"
+    code = ("import sys\n"
+            "from ecseq.cli import main\n"
+            f"assert main(['generate', '--n', '3', '--t', '4', '--d', '2', '--out', {str(fam)!r}]) == 0\n"
+            f"assert main(['analyze', {str(fam)!r}, '--out', {str(rep)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert json.loads(rep.read_text())["counting_identities_ok"] is True
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit):
         main(["generate", "--bogus"])

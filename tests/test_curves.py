@@ -88,10 +88,11 @@ def test_smallest_instance_pinned():
 
 def test_is_cyclic_agrees_with_group_exponent():
     # oracle: the group is cyclic iff lcm of all point orders equals N
-    ctx = make_field(4)
-    seen_noncyclic = False
-    for a2 in range(9):  # includes a2=8, where N=18 gives Z/3 x Z/6
-        for a6 in range(1, ctx.q):
+    noncyclic_n = set()
+    # n=4, a2=8: N=18 gives Z/3 x Z/6; n=6: the N=72 curves are Z/3 x Z/24
+    for n, a2s in ((4, range(9)), (6, range(2))):
+        ctx = make_field(n)
+        for a2, a6 in ((a2, a6) for a2 in a2s for a6 in range(1, ctx.q)):
             curve = Curve(ctx, 1, a2, 0, 0, a6)
             factored = factorize(curve.N)
             exponent = 1
@@ -103,8 +104,8 @@ def test_is_cyclic_agrees_with_group_exponent():
             if ok:
                 assert point_order(curve, gen, factored) == curve.N
             else:
-                seen_noncyclic = True
-    assert seen_noncyclic  # the sweep exercises both outcomes
+                noncyclic_n.add(n)
+    assert noncyclic_n == {4, 6}  # the sweep exercises both outcomes in both fields
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -1,6 +1,10 @@
 """Sequence generation, the shift identity, and the ECSEQ v1 file format."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -113,3 +117,17 @@ def test_malformed_files_rejected(tmp_path, mutate):
     broken.write_text("\n".join(mutate(path.read_text().splitlines())) + "\n")
     with pytest.raises(FormatError):
         read_family(broken)
+
+
+def test_pipeline_builds_no_extension_tables():
+    # make_ext is cached in this process (and the place oracle builds tables
+    # on it), so build and generate in a fresh interpreter
+    root = Path(__file__).resolve().parents[1]
+    code = ("from ecseq.family import build_instance, gen_family\n"
+            "curve, P, ext, place, space = build_instance(10, 32, 2)\n"
+            "fam = gen_family(curve, P, space, ext)\n"
+            "print(ext.q, fam.M, len(ext._exp), len(ext._log))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(1 << 20), "1023", "0", "0"]

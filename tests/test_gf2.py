@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecseq.gf2 import (GF2Solver, ValidationError, clmul, elem_from_hex,
+from ecseq.gf2 import (MAX_DEGREE, MAX_EXT_DEGREE, MIN_DEGREE, FieldContext,
+                       GF2Solver, ValidationError, clmul, elem_from_hex,
                        elem_to_hex, factorize, is_irreducible, make_ext,
-                       make_field, poly_gcd, poly_mod,
-                       smallest_irreducible)
+                       make_field, poly_gcd, poly_mod, smallest_irreducible)
 
 
 # -- GF(2)[x] helpers against naive oracles -------------------------------
@@ -188,8 +188,8 @@ def test_gf2solver_random_systems():
         for j, c in enumerate(cols):
             if (pick >> j) & 1:
                 w ^= c
-        z = solver.solve(w)
-        assert z is not None
+        lo, hi, h = solver.lookup(8)
+        z = lo[w & (1 << h) - 1] ^ hi[w >> h]
         acc = 0
         for j, c in enumerate(cols):
             if (z >> j) & 1:
@@ -239,6 +239,27 @@ def test_coords_reconstruct(n, d):
         assert acc == e
 
 
+def test_embed_image_is_smallest_root_of_base_modulus():
+    # every (n, d) the cap admits: scan the whole subfield (the kernel of
+    # a -> a^q + a) for the roots of the base modulus
+    for n in range(MIN_DEGREE, MAX_DEGREE + 1):
+        base = make_field(n)
+        for d in range(1, MAX_EXT_DEGREE // n + 1):
+            ext = make_ext(base, d)
+            cols = [ext.frobenius_q(1 << i) ^ (1 << i) for i in range(ext.n)]
+            subfield = [0]
+            for b in GF2Solver(cols).null_combos:
+                subfield += [e ^ b for e in subfield]
+            roots = []
+            for e in subfield:
+                acc = 0
+                for i in range(n, -1, -1):
+                    acc = ext.mul(acc, e) ^ ((base.modulus >> i) & 1)
+                if acc == 0:
+                    roots.append(e)
+            assert len(roots) == n and ext.embed_image == min(roots), (n, d)
+
+
 def test_frobenius_q_order():
     ext = make_ext(make_field(3), 3)
     rng = random.Random(8)
@@ -268,14 +289,29 @@ def test_make_field_range():
 
 
 # (10, 2) is the largest extension the cap admits: q^d = 2^20
-@pytest.mark.parametrize("n,d", [(n, 1) for n in range(2, 13)] + [(8, 2), (4, 4), (10, 2)])
+@pytest.mark.parametrize("n,d", [(n, 1) for n in range(2, 13)]
+                         + [(8, 2), (4, 4), (10, 2), (5, 3), (6, 3)])
 def test_table_arithmetic_matches_clmul_reference(n, d):
-    f = make_field(n) if d == 1 else make_ext(make_field(n), d)
+    # the carry-less extension against the table-backed field of the same
+    # modulus (same integer coding); at d = 1 that is make_field(n), whose
+    # tables are checked against clmul
+    ext = make_ext(make_field(n), d)
+    tab = make_field(n) if d == 1 else FieldContext(ext.modulus)
+    assert tab.modulus == ext.modulus
     rng = random.Random(n * 100 + d)
     for _ in range(300):
-        a, b = rng.randrange(f.q), rng.randrange(1, f.q)
-        assert f.mul(a, b) == poly_mod(clmul(a, b), f.modulus)
-        assert poly_mod(clmul(b, f.inv(b)), f.modulus) == 1
+        a, b = rng.randrange(tab.q), rng.randrange(1, tab.q)
+        e = rng.randrange(-40, 40)
+        assert tab.mul(a, b) == poly_mod(clmul(a, b), tab.modulus) == ext.mul(a, b)
+        assert poly_mod(clmul(b, tab.inv(b)), tab.modulus) == 1
+        assert ext.inv(b) == tab.inv(b)
+        assert ext.pow(b, e) == tab.pow(b, e) and ext.pow(a, abs(e)) == tab.pow(a, abs(e))
+        assert ext.sqrt(a) == tab.sqrt(a)
+        assert ext.frobenius_q(a) == tab.pow(a, 1 << n)
+        c = rng.choice((0, b))
+        assert ext.solve_quadratic(c, a) == tab.solve_quadratic(c, a)
+    if tab.q <= 1 << 12:
+        assert all(ext.inv(b) == tab.inv(b) for b in range(1, tab.q))
 
 
 @pytest.mark.parametrize("n", range(2, 13))
