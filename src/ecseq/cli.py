@@ -16,7 +16,7 @@ import time
 
 from .analysis import (BoundViolationError, exhaustive_allowed,
                        family_correlation, family_linear_complexity)
-from .curves import CurveSearchSpec, admissible_t, search_cyclic_curve
+from .curves import CurveSearchSpec, admissible_t, search_cyclic_curve, special_traces
 from .family import (FormatError, build_instance, gen_family, read_family,
                      write_family)
 from .gf2 import ValidationError, make_ext, make_field
@@ -100,7 +100,7 @@ def cmd_reproduce_table(args) -> int:
     rows = []
     for n in args.n_values or ([6, 7, 8] if table3 else [4, 5, 6]):
         q = 1 << n
-        t = (math.isqrt(q) if n % 2 == 0 else math.isqrt(2 * q)) if table3 else -1
+        t = special_traces(n)[-1] if table3 else -1
         curve, P, ext, place, space = build_instance(n, t, 2 if table3 else 3)
         fam = gen_family(curve, P, space, ext)
         sampled = None if exhaustive_allowed(fam) else args.sampled

@@ -179,16 +179,10 @@ class Curve:
 # ----------------------------------------------------------------------
 # Admissible traces and curve search.
 
-def isqrt_exact(v: int) -> int | None:
-    r = math.isqrt(v)
-    return r if r * r == v else None
-
-
 def special_traces(n: int) -> list[int]:
     """The even admissible traces: 0 and +/-sqrt(q) or +/-sqrt(2q)."""
     q = 1 << n
-    s = isqrt_exact(q) if n % 2 == 0 else isqrt_exact(2 * q)
-    assert s is not None
+    s = math.isqrt(q << n % 2)
     return [-s, 0, s]
 
 

@@ -317,7 +317,8 @@ class ExtFieldContext(FieldContext):
     ``embed_image``, the smallest root (by integer representation) of the
     base modulus inside the extension.
 
-    Its arithmetic is table-free (build_tables serves the place oracle).
+    Its arithmetic is table-free (build_tables serves the place oracle);
+    embed and its inverse, decode, are split lookups.
     """
 
     def __init__(self, base: FieldContext, d: int):
@@ -326,10 +327,7 @@ class ExtFieldContext(FieldContext):
         self.embed_image = self._find_embed_image()
         beta_pow = [self.pow(self.embed_image, i) for i in range(base.n)]
         self._embed = split_lookup(beta_pow)
-        # GF(q)-coordinates of the extension w.r.t. the basis 1, g, ..., g^(d-1)
-        # where g is the extension's own polynomial generator (the class of x).
-        cols = [self.mul(b, self.pow(2, k)) for k in range(d) for b in beta_pow]
-        self._coords = GF2Solver(cols).lookup(self.n)
+        self._decode = GF2Solver(beta_pow).lookup(self.n)
 
     def _init_arithmetic(self) -> None:
         # a -> a^(2^k) is GF(2)-linear: k = n is the q-Frobenius (the identity
@@ -360,8 +358,9 @@ class ExtFieldContext(FieldContext):
 
     def decode(self, e: int) -> int:
         """Inverse of :meth:`embed`; raises if e is outside the subfield."""
-        a, *higher = self.coords(e)
-        if any(higher):
+        lo, hi, h = self._decode
+        a = lo[e & (1 << h) - 1] ^ hi[e >> h]
+        if self.embed(a) != e:
             raise ValueError("element not in the embedded base field")
         return a
 
@@ -391,12 +390,6 @@ class ExtFieldContext(FieldContext):
         """q-power Frobenius a -> a^(2^n)."""
         lo, hi, h = self._frob
         return lo[a & (1 << h) - 1] ^ hi[a >> h]
-
-    def coords(self, e: int) -> tuple[int, ...]:
-        """GF(q)-coordinates of e w.r.t. the basis 1, g, ..., g^(d-1)."""
-        lo, hi, h = self._coords
-        z = lo[e & (1 << h) - 1] ^ hi[e >> h]
-        return tuple((z >> k * self.base.n) & self.base.q - 1 for k in range(self.d))
 
     def serialize(self) -> dict:
         return {**super().serialize(), "base_n": self.base.n, "d": self.d,

@@ -60,15 +60,6 @@ def moebius(k: int) -> int:
     return mu
 
 
-def waring_power_sum(q: int, t: int, r: int) -> int:
-    """Closed form for S_r = alpha_1^r + alpha_2^r via Waring's formula."""
-    s = 0
-    for i in range(r // 2 + 1):
-        c = (math.factorial(r - i - 1) * r) // (math.factorial(r - 2 * i) * math.factorial(i))
-        s += (-1) ** (r - i) * c * t ** (r - 2 * i) * q**i
-    return s
-
-
 def frobenius_power_sums(q: int, t: int, r_max: int) -> list[int]:
     """S_1..S_r_max where alpha_1 + alpha_2 = -t and alpha_1*alpha_2 = q."""
     if t * t > 4 * q:
@@ -226,11 +217,12 @@ def _build_place(curve: Curve, ext: ExtFieldContext, R: Point, d: int) -> PlaceD
     """PlaceD for R if its orbit is a regular degree-d place, else None."""
     orbit = frobenius_orbit(ext, R)
     xs = [P.x for P in orbit]
-    if not len(orbit) == d == len(set(xs)):
-        return None  # orbit size is not d, or x lies in a proper subfield
-    negs = {curve.neg(P, ext) for P in orbit}
-    if negs & set(orbit):
-        return None  # self-negating or orbit meets its own negation
+    if len(set(xs)) != d:
+        return None  # x lies in a proper subfield of GF(q^d)
+    # -F^i(R) has the x of F^i(R), so with d distinct x, -F^i(R) = F^j(R)
+    # forces i = j: the orbit meets its negation only if R = -R
+    if curve.neg(R, ext) == R:
+        return None
     return PlaceD(d=d, orbit=orbit, dpoly=_min_poly_coeffs(curve, ext, xs))
 
 

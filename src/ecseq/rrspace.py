@@ -5,7 +5,8 @@ x-minimal polynomial and N a combination of the pole-order-bounded
 monomials x^i y^j (j <= 1, 2i + 3j <= 2d).  D's divisor is
 orbit + neg(orbit) - 2d*O, so requiring N to vanish at the negated
 representative (the conjugate conditions follow for free) carves out
-exactly L(Q) as a d-dimensional GF(q)-nullspace.
+exactly L(Q) as a d-dimensional GF(q)-nullspace.  Those conditions are
+GF(2)-linear in the coefficient bits, so :class:`gf2.GF2Solver` solves them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import Curve, Point
-from .gf2 import ExtFieldContext, FieldContext, elem_to_hex
+from .gf2 import ExtFieldContext, FieldContext, GF2Solver, elem_to_hex
 from .places import PlaceD
 
 
@@ -70,35 +71,6 @@ def _normalize(ctx: FieldContext, row: list[int]) -> tuple[int, list[int]]:
     return lead, [ctx.mul(inv, v) for v in row]
 
 
-def gfq_nullspace(ctx: FieldContext, rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Reduced nullspace basis, free columns in increasing order."""
-    echelon: list[tuple[int, list[int]]] = []
-    for row in rows:
-        row = _reduce_row(ctx, list(row), echelon)
-        if any(row):
-            echelon.append(_normalize(ctx, row))
-    # back-substitute to reduced row echelon form
-    for k in range(len(echelon) - 1, -1, -1):
-        lead, base = echelon[k]
-        for j in range(k):
-            jl, jb = echelon[j]
-            if jb[lead]:
-                f = jb[lead]
-                echelon[j] = (jl, [a ^ ctx.mul(f, b) for a, b in zip(jb, base)])
-    echelon.sort(key=lambda e: e[0])
-    pivots = [lead for lead, _ in echelon]
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for lead, base in echelon:
-            vec[lead] = base[free]  # char 2: negation is identity
-        basis.append(vec)
-    return basis
-
-
 # -- basis construction ---------------------------------------------------
 
 def _dpoly_vector(dpoly: tuple[int, ...], mons: list[tuple[int, int]]) -> list[int]:
@@ -109,24 +81,28 @@ def _dpoly_vector(dpoly: tuple[int, ...], mons: list[tuple[int, int]]) -> list[i
 
 
 def rr_basis(curve: Curve, ext: ExtFieldContext, place: PlaceD) -> RRSpace:
-    """Basis of L(Q) split as the constant 1 plus the complement V."""
+    """Basis of L(Q) split as the constant 1 plus the complement V.
+
+    L(Q) is the GF(2) nullspace of N(-R) = 0 read back as GF(q) vectors; V
+    is that nullspace row-reduced against D's vector over GF(q).
+    """
     ctx = curve.ctx
     d = place.d
     mons = monomials_L2dO(d)
     negR = curve.neg(place.representative, ext)
     vals = [ext.mul(ext.pow(negR.x, i), ext.pow(negR.y, j)) for i, j in mons]
-    coords = [ext.coords(v) for v in vals]
-    rows = [[coords[col][k] for col in range(len(mons))] for k in range(d)]
-    nullspace = gfq_nullspace(ctx, rows, len(mons))
+    # N(-R) = 0 is GF(2)-linear in the bits of the c_k: column k*n + b is
+    # embed(2^b) * m_k(-R).  A null combo led by column (k, 0) is the reduced
+    # GF(q) basis vector of free column k (1 there, 0 at the other free ones).
+    n = ctx.n
+    cols = [ext.mul(ext.embed(1 << b), v) for v in vals for b in range(n)]
+    nullspace = [[(combo >> k * n) & ctx.q - 1 for k in range(len(mons))]
+                 for combo in GF2Solver(cols).null_combos
+                 if (combo.bit_length() - 1) % n == 0]
     if len(nullspace) != d:
         raise IrregularPlaceError(
             f"nullspace dimension {len(nullspace)} != d={d}; irregular place")
     dvec = _dpoly_vector(place.dpoly, mons)
-    for row in rows:
-        acc = 0
-        for r, v in zip(row, dvec):
-            acc ^= ctx.mul(r, v)
-        assert acc == 0, "D(x) itself must represent the constant 1 in L(Q)"
     # row-reduce the nullspace against D's vector so V complements the constants
     echelon = [_normalize(ctx, list(dvec))]
     v_rows = []
@@ -136,7 +112,6 @@ def rr_basis(curve: Curve, ext: ExtFieldContext, place: PlaceD) -> RRSpace:
             entry = _normalize(ctx, red)
             echelon.append(entry)
             v_rows.append(entry[1])
-    assert len(v_rows) == d - 1
     mk = lambda vec: CurveFunction(d=d, coeffs=tuple(vec), dpoly=place.dpoly)
     return RRSpace(place=place,
                    full_basis=(mk(dvec),) + tuple(mk(v) for v in v_rows),
@@ -159,7 +134,6 @@ def eval_function(curve: Curve, z: CurveFunction, P: Point) -> int:
     den = 0
     for c in reversed(z.dpoly):
         den = ctx.mul(den, P.x) ^ c
-    assert den != 0, "D(x) has a rational root; place is not regular"
     return ctx.div(num, den)
 
 

@@ -10,11 +10,11 @@ import math
 
 import pytest
 
-from conftest import cached_curve, cached_family, cached_instance
+from conftest import brute_lc, cached_curve, cached_family, cached_instance
 from ecseq.analysis import (corr_bound, counting_identity_check,
                             exhaustive_allowed, family_correlation,
                             family_linear_complexity, lc_bound_check,
-                            linear_complexity_cyclic, rotate)
+                            linear_complexity_cyclic)
 from ecseq.cli import main as cli_main
 from ecseq.curves import (CurveSearchSpec, admissible_t,
                           enumerate_rational_points, ordered_points,
@@ -190,21 +190,7 @@ def test_criterion_7_linear_complexity():
     # gcd-based value == brute-force minimal recurrence at N = 13
     fam = cached_family(3, 4, 2)
     for s in fam.bits:
-        best = None
-        for ell in range(1, fam.N + 1):
-            for mid in range(1 << max(ell - 1, 0)):
-                lam = 1 | (mid << 1) | (1 << ell)
-                rec = 0
-                for i in range(ell + 1):
-                    if (lam >> i) & 1:
-                        rec ^= 1 << (ell - i) % fam.N
-                if all(((rec & rotate(s, u, fam.N)).bit_count() & 1) == 0
-                       for u in range(fam.N)):
-                    best = ell
-                    break
-            if best:
-                break
-        assert linear_complexity_cyclic(s, fam.N) == best
+        assert linear_complexity_cyclic(s, fam.N) == brute_lc(s, fam.N)
     _ok(7, "linear-complexity bound and brute-force match")
 
 

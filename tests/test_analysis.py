@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cached_family, serre_breaking_family
+from conftest import brute_lc, cached_family, serre_breaking_family
 from ecseq.analysis import (BoundViolationError, autocorrelation, corr_bound,
                             counting_identity_check, crosscorrelation,
                             exhaustive_allowed, family_correlation,
@@ -216,22 +216,6 @@ def test_single_sequence_family_degenerate():
 
 
 # -- cyclic linear complexity ------------------------------------------------
-
-def brute_lc(s: int, N: int) -> int:
-    """Minimal ell such that some lambda with lambda_0 = lambda_ell = 1
-    satisfies sum_i lambda_i s_{i+u} = 0 for all cyclic shifts u."""
-    for ell in range(1, N + 1):
-        for mid in range(1 << max(ell - 1, 0)):
-            lam = 1 | (mid << 1) | (1 << ell)
-            rec = 0
-            for i in range(ell + 1):
-                if (lam >> i) & 1:
-                    rec ^= 1 << (ell - i) % N
-            if all(((rec & rotate(s, u, N)).bit_count() & 1) == 0
-                   for u in range(N)):
-                return ell
-    return N
-
 
 def test_lc_matches_brute_force_on_family():
     fam = cached_family(3, 4, 2)

@@ -223,22 +223,6 @@ def test_embedding_is_field_homomorphism(n, d):
         assert ext.frobenius_q(e) == e  # fixed by the q-power Frobenius
 
 
-@pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (4, 2)])
-def test_coords_reconstruct(n, d):
-    base = make_field(n)
-    ext = make_ext(base, d)
-    rng = random.Random(7)
-    g = 2  # class of x in the extension
-    for _ in range(200):
-        e = rng.randrange(ext.q)
-        cs = ext.coords(e)
-        assert len(cs) == d
-        acc = 0
-        for k, ck in enumerate(cs):
-            acc ^= ext.mul(ext.embed(ck), ext.pow(g, k))
-        assert acc == e
-
-
 def test_embed_image_is_smallest_root_of_base_modulus():
     # every (n, d) the cap admits: scan the whole subfield (the kernel of
     # a -> a^q + a) for the roots of the base modulus

@@ -11,7 +11,7 @@ from ecseq.gf2 import ValidationError, make_ext, make_field
 from ecseq.places import (count_place_orbits, count_places_formula,
                           enumerate_places_deg_d, find_place, frobenius_orbit,
                           frobenius_power_sums, moebius, point_frobenius,
-                          translate_place, waring_power_sum)
+                          translate_place)
 
 
 def per_point_enumeration(curve, ext, d):
@@ -45,16 +45,6 @@ def test_power_sums_match_extension_point_counts():
         ext = make_ext(curve.ctx, r)
         assert len(curve.points_over(ext)) == q**r + 1 - s[r - 1]
     assert s[0] == -curve.t
-
-
-def test_waring_closed_form_small():
-    # alpha+beta=-t, alpha*beta=q: check against exact conjugate powers
-    import cmath
-    q, t = 8, 3
-    disc = cmath.sqrt(complex(t * t - 4 * q))
-    a, b = (-t + disc) / 2, (-t - disc) / 2
-    for r in range(1, 7):
-        assert round((a**r + b**r).real) == waring_power_sum(q, t, r)
 
 
 def test_power_sums_reject_bad_trace():

@@ -9,7 +9,7 @@ from ecseq.family import enumerate_V
 from ecseq.gf2 import make_ext
 from ecseq.places import PlaceD, _build_place, enumerate_places_deg_d
 from ecseq.rrspace import (CurveFunction, check_sum_nonconstant, eval_function,
-                           gfq_nullspace, monomials_L2dO, rr_basis)
+                           monomials_L2dO, rr_basis)
 
 
 def test_monomials():
@@ -17,18 +17,6 @@ def test_monomials():
     assert monomials_L2dO(3) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (3, 0)]
     with pytest.raises(ValueError):
         monomials_L2dO(1)
-
-
-def test_gfq_nullspace_small():
-    from ecseq.gf2 import make_field
-    f = make_field(3)
-    # one equation x0 + x1 = 0 over GF(8), three unknowns
-    basis = gfq_nullspace(f, [[1, 1, 0]], 3)
-    assert len(basis) == 2
-    for vec in basis:
-        assert vec[0] ^ vec[1] == 0
-    # nullspace vectors are GF(q)-independent (distinct free columns)
-    assert basis[0][1] == 1 and basis[1][2] == 1
 
 
 @pytest.mark.parametrize("n,t,d", [(3, 4, 2), (3, 4, 3), (4, -1, 3), (4, -4, 2)])
