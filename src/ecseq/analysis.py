@@ -35,18 +35,6 @@ def rotate(v: int, u: int, N: int) -> int:
     return (v >> u) | ((v & ((1 << u) - 1)) << (N - u))
 
 
-def autocorrelation(s: int, u: int, N: int) -> int:
-    if not 1 <= u <= N - 1:
-        raise ValidationError(f"delay {u} outside 1..{N - 1}")
-    return N - 2 * (s ^ rotate(s, u, N)).bit_count()
-
-
-def crosscorrelation(a: int, b: int, u: int, N: int) -> int:
-    if not 0 <= u <= N - 1:
-        raise ValidationError(f"delay {u} outside 0..{N - 1}")
-    return N - 2 * (a ^ rotate(b, u, N)).bit_count()
-
-
 def corr_bound(q: int, t: int, d: int) -> int:
     """(2d+1) * floor(2*sqrt(q)) + |t|, exactly."""
     return (2 * d + 1) * math.isqrt(4 * q) + abs(t)

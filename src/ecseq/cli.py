@@ -118,6 +118,7 @@ def cmd_reproduce_table(args) -> int:
 
 
 def cmd_count_places(args) -> int:
+    CurveSearchSpec(args.n, args.t).validate()  # the instance must exist, as in generate
     q = 1 << args.n
     formula = count_places_formula(q, args.t, args.d)
     enumerated = None

@@ -13,6 +13,8 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .gf2 import (
+    MAX_DEGREE,
+    MIN_DEGREE,
     ExtFieldContext,
     FieldContext,
     ValidationError,
@@ -159,10 +161,6 @@ class Curve:
             for y in fld.solve_quadratic(c, u):
                 yield Point(x, y)
 
-    def points_over(self, fld: FieldContext | None = None) -> list[Point]:
-        """All points with coordinates in fld: O, then the affine points in (x, y) order."""
-        return [INFINITY, *self.iter_points(fld)]
-
     def serialize(self) -> dict:
         out = self.ctx.serialize()
         out.update(
@@ -188,8 +186,8 @@ def special_traces(n: int) -> list[int]:
 
 def admissible_t(n: int) -> list[int]:
     """All traces t for which a cyclic curve with N = q+1+t exists."""
-    if not 2 <= n <= 12:
-        raise ValidationError(f"n={n} outside supported range [2, 12]")
+    if not MIN_DEGREE <= n <= MAX_DEGREE:
+        raise ValidationError(f"n={n} outside supported range [{MIN_DEGREE}, {MAX_DEGREE}]")
     q = 1 << n
     ts = set(special_traces(n))
     bound = math.isqrt(4 * q)
@@ -213,11 +211,6 @@ class CurveSearchSpec:
     def validate(self) -> None:
         if self.t not in admissible_t(self.n):
             raise ValidationError(f"t={self.t} is not admissible for n={self.n}")
-
-
-def enumerate_rational_points(curve: Curve) -> list[Point]:
-    """Oracle: the full rational point set (x-sweep), O first then (x, y) order."""
-    return sorted(curve.points_over(), key=_sort_key)
 
 
 def point_order(curve: Curve, P: Point, factored_N: dict[int, int]) -> int:

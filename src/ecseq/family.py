@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 
 from .curves import (Curve, CurveSearchSpec, Point, admissible_t, ordered_points,
                      search_cyclic_curve)
-from .gf2 import MAX_EXT_DEGREE, ExtFieldContext, FieldContext, make_ext, make_field
+from .gf2 import (MAX_DEGREE, MAX_EXT_DEGREE, MIN_DEGREE, ExtFieldContext, make_ext,
+                  make_field)
 from .places import PlaceD, find_place
-from .rrspace import CurveFunction, RRSpace, eval_function, rr_basis
+from .rrspace import RRSpace, eval_function, rr_basis
 
 
 class FormatError(ValueError):
@@ -34,27 +35,6 @@ class SequenceFamily:
     @property
     def q(self) -> int:
         return 1 << self.n
-
-
-def enumerate_V(ctx: FieldContext, space: RRSpace) -> list[CurveFunction]:
-    """V \\ {0} indexed by coefficient vectors in lexicographic order.
-
-    z = sum_k c_k * V_basis[k] with (c_1, ..., c_{d-1}) running over the
-    nonzero vectors of GF(q)^{d-1}, compared as integer tuples.
-    """
-    basis = space.V_basis
-    r = len(basis)
-    q = ctx.q
-    out = []
-    for idx in range(1, q**r):
-        cs = [(idx // q ** (r - 1 - k)) % q for k in range(r)]
-        coeffs = [0] * len(basis[0].coeffs)
-        for ck, vb in zip(cs, basis):
-            if ck:
-                for m, v in enumerate(vb.coeffs):
-                    coeffs[m] ^= ctx.mul(ck, v)
-        out.append(CurveFunction(d=basis[0].d, coeffs=tuple(coeffs), dpoly=basis[0].dpoly))
-    return out
 
 
 def build_instance(n: int, t: int, d: int
@@ -78,8 +58,9 @@ def gen_family(curve: Curve, P: Point, space: RRSpace,
 
     Tr(c * b(P_j)) is GF(2)-linear in c, so the rows are the GF(2) span of
     n*(d-1) bit planes Tr(x^i * b_k(P_j)).  Row m is the XOR of the planes
-    selected by the bits of m + 1, its index in enumerate_V: bit p selects
-    bit i = p % n of the coefficient c_k, k = d-2 - p // n.
+    selected by the bits of m + 1, whose base-q digits are the coefficients
+    of row m's function over V_basis, most significant first: bit p selects
+    bit i = p % n of the coefficient c_k of V_basis[k], k = d-2 - p // n.
     """
     ctx = curve.ctx
     pts = ordered_points(curve, P)
@@ -103,29 +84,6 @@ def gen_family(curve: Curve, P: Point, space: RRSpace,
     }
     return SequenceFamily(n=ctx.n, t=curve.t, d=space.place.d, N=curve.N,
                           M=len(bits), bits=bits, provenance=prov)
-
-
-def shift_identity_check(family: SequenceFamily, curve: Curve, P: Point,
-                         space: RRSpace, pairs=None) -> bool:
-    """Index shift equals point translation: s_{i,j+u} == Tr(z_i(P_j + [u]P)).
-
-    pairs is an iterable of (i, u); None checks every (i, u) pair.
-    """
-    pts = ordered_points(curve, P)
-    N = family.N
-    zs = enumerate_V(curve.ctx, space)
-    if pairs is None:
-        pairs = ((i, u) for i in range(family.M) for u in range(N))
-    for i, u in pairs:
-        Pu = curve.scalar_mul(u, P)
-        row = family.bits[i]
-        z = zs[i]
-        for j in range(N):
-            shifted = (row >> ((j + u) % N)) & 1
-            direct = curve.ctx.trace(eval_function(curve, z, curve.add(pts[j], Pu)))
-            if shifted != direct:
-                return False
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -154,8 +112,11 @@ def write_family(family: SequenceFamily, path) -> None:
 
 
 def read_family(path) -> SequenceFamily:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc}") from exc
     if not lines or not lines[0].startswith("ECSEQ v1 "):
         raise FormatError("missing ECSEQ v1 header")
     try:
@@ -165,9 +126,9 @@ def read_family(path) -> SequenceFamily:
         provenance = json.loads(lines[1])
     except (KeyError, ValueError, IndexError) as exc:
         raise FormatError(f"bad ECSEQ header or provenance: {exc}") from exc
-    # each test guards the next: admissible_t needs 2 <= n <= 12, and the
-    # size of M is only computed for a valid n and d (n*d capped as in generate)
-    if not (2 <= n <= 12 and d in (2, 3) and n * d <= MAX_EXT_DEGREE
+    # each test guards the next: admissible_t needs n in its supported range,
+    # and the size of M is only computed for a valid n and d (n*d capped as in generate)
+    if not (MIN_DEGREE <= n <= MAX_DEGREE and d in (2, 3) and n * d <= MAX_EXT_DEGREE
             and t in admissible_t(n)):
         raise FormatError(f"unsupported header n={n} t={t} d={d}")
     if N != (1 << n) + 1 + t or math.gcd(d, N) != 1:

@@ -233,10 +233,6 @@ class FieldContext:
 
     # -- arithmetic ----------------------------------------------------
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0

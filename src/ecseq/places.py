@@ -244,14 +244,3 @@ def find_place(curve: Curve, ext: ExtFieldContext, d: int) -> PlaceD:
 
 class SearchExhaustedPlace(RuntimeError):
     """No regular place exists at this size (not observed at desk scale)."""
-
-
-def translate_place(curve: Curve, place: PlaceD, j: int, P: Point, ext: ExtFieldContext) -> PlaceD:
-    """The place moved by the translation Q -> Q + [j]P (pointwise)."""
-    T = curve.scalar_mul(j % curve.N, P)
-    if T.is_infinity:
-        return place
-    Te = Point(ext.embed(T.x), ext.embed(T.y))
-    orbit = tuple(curve.add(R, Te, ext) for R in place.orbit)
-    xs = [R.x for R in orbit]
-    return PlaceD(d=place.d, orbit=orbit, dpoly=_min_poly_coeffs(curve, ext, xs))

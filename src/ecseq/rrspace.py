@@ -135,17 +135,3 @@ def eval_function(curve: Curve, z: CurveFunction, P: Point) -> int:
     for c in reversed(z.dpoly):
         den = ctx.mul(den, P.x) ^ c
     return ctx.div(num, den)
-
-
-def check_sum_nonconstant(ctx: FieldContext, z1: CurveFunction, z2: CurveFunction) -> bool:
-    """True iff z1 + z2 is not a constant (no F_q multiple of D as numerator)."""
-    s = [a ^ b for a, b in zip(z1.coeffs, z2.coeffs)]
-    if not any(s):
-        return False  # z1 == z2: the sum is the zero constant
-    mons = monomials_L2dO(z1.d)
-    dvec = _dpoly_vector(z1.dpoly, mons)
-    lead = next(i for i, v in enumerate(dvec) if v)
-    if s[lead] == 0:
-        return True
-    f = ctx.div(s[lead], dvec[lead])
-    return any(sv != ctx.mul(f, dv) for sv, dv in zip(s, dvec))

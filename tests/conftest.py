@@ -6,7 +6,6 @@ import dataclasses
 import functools
 import random
 
-from ecseq.analysis import rotate
 from ecseq.curves import CurveSearchSpec, search_cyclic_curve
 from ecseq.family import build_instance, gen_family
 
@@ -41,18 +40,3 @@ def serre_breaking_family():
     bits[300] = sum(b << j for j, b in enumerate(seq))
     return dataclasses.replace(fam, bits=bits)
 
-
-def brute_lc(s: int, N: int) -> int:
-    """Minimal ell such that some lambda with lambda_0 = lambda_ell = 1
-    satisfies sum_i lambda_i s_{i+u} = 0 for all cyclic shifts u."""
-    for ell in range(1, N + 1):
-        for mid in range(1 << max(ell - 1, 0)):
-            lam = 1 | (mid << 1) | (1 << ell)
-            rec = 0
-            for i in range(ell + 1):
-                if (lam >> i) & 1:
-                    rec ^= 1 << (ell - i) % N
-            if all(((rec & rotate(s, u, N)).bit_count() & 1) == 0
-                   for u in range(N)):
-                return ell
-    return N

@@ -1,0 +1,142 @@
+"""Reference implementations that the tests check the pipeline against.
+
+Each is as naive as it can be and independent of the kernel it checks:
+correlations use their own rotation, points come from the curve equation
+over all of GF(q)^2, and orbits from a point-by-point Frobenius walk.
+"""
+
+import math
+from operator import xor
+
+from ecseq.curves import INFINITY, Point, _sort_key, ordered_points
+from ecseq.places import frobenius_orbit
+from ecseq.rrspace import CurveFunction, eval_function
+
+
+def _rot(b: int, u: int, N: int) -> int:
+    """Bit j is bit (j+u) mod N of b, for 0 <= u < N."""
+    return ((b >> u) | (b << N - u)) & ((1 << N) - 1)
+
+
+def corr(a: int, b: int, u: int, N: int) -> int:
+    """C_u(a, b) = sum_j (-1)^(a_j + b_{j+u}), for 0 <= u < N."""
+    return N - 2 * (a ^ _rot(b, u, N)).bit_count()
+
+
+def serre_failures(fam) -> list[tuple[int, int]]:
+    """Every (i, u), 1 <= u < N, where |2*N_0 - q - 1| > (2d+1)*floor(2*sqrt(q))
+    with N_0 = N - popcount(s_i ^ rot_u(s_i)), the agreements of row i and
+    its shift: the proof's Serre-form counting identity fails there."""
+    N, q = fam.N, 1 << fam.n
+    serre = (2 * fam.d + 1) * math.isqrt(4 * q)
+    return [(i, u) for i, s in enumerate(fam.bits) for u in range(1, N)
+            if abs(2 * (N - (s ^ _rot(s, u, N)).bit_count()) - q - 1) > serre]
+
+
+def brute_lc(s: int, N: int) -> int:
+    """Minimal ell such that some lambda with lambda_0 = lambda_ell = 1
+    satisfies sum_i lambda_i s_{i+u} = 0 for all cyclic shifts u."""
+    for ell in range(1, N + 1):
+        for mid in range(1 << max(ell - 1, 0)):
+            lam = 1 | (mid << 1) | (1 << ell)
+            rec = 0
+            for i in range(ell + 1):
+                if (lam >> i) & 1:
+                    rec ^= 1 << (ell - i) % N
+            if all(((rec & _rot(s, u, N)).bit_count() & 1) == 0
+                   for u in range(N)):
+                return ell
+    return N
+
+
+def rational_points(curve) -> list[Point]:
+    """O, then every (x, y) in GF(q)^2 on the curve, in (x, y) order."""
+    q = curve.ctx.q
+    pts = (Point(x, y) for x in range(q) for y in range(q))
+    return [INFINITY, *filter(curve.on_curve, pts)]
+
+
+def per_point_enumeration(curve, ext, d):
+    """Every point of E(GF(q^d)), its Frobenius orbit, and a seen set;
+    size-d orbits rotated to their smallest (x, y) point, then sorted."""
+    assert ext.d == d
+    seen: set[Point] = set()
+    orbits = []
+    for P in curve.iter_points(ext):
+        if P in seen:
+            continue
+        orbit = frobenius_orbit(ext, P)
+        seen.update(orbit)
+        if len(orbit) == d:
+            k = min(range(d), key=lambda i: _sort_key(orbit[i]))
+            orbits.append(orbit[k:] + orbit[:k])
+    orbits.sort(key=lambda o: _sort_key(o[0]))
+    return orbits
+
+
+def translate_orbit(curve, orbit, j: int, P: Point, ext) -> tuple[Point, ...]:
+    """The orbit moved by the translation Q -> Q + [j]P (pointwise)."""
+    T = curve.scalar_mul(j % curve.N, P)
+    if T.is_infinity:
+        return orbit
+    Te = Point(ext.embed(T.x), ext.embed(T.y))
+    return tuple(curve.add(R, Te, ext) for R in orbit)
+
+
+def function_values(curve, zs) -> list[tuple[int, ...]]:
+    """Each z's values at the rational points, O first.
+
+    A nonconstant f in L(Q) takes any value at most deg Q = d times, so
+    when N > d, f is constant iff its values are: see sum_is_constant.
+    """
+    assert all(curve.N > z.d for z in zs)
+    pts = [INFINITY, *curve.iter_points()]
+    return [tuple(eval_function(curve, z, P) for P in pts) for z in zs]
+
+
+def sum_is_constant(v1, v2) -> bool:
+    """Whether z1 + z2 is constant, from the function_values of z1 and z2."""
+    return len(set(map(xor, v1, v2))) == 1
+
+
+def enumerate_V(ctx, space) -> list[CurveFunction]:
+    """V \\ {0} indexed by coefficient vectors in lexicographic order.
+
+    z = sum_k c_k * V_basis[k] with (c_1, ..., c_{d-1}) running over the
+    nonzero vectors of GF(q)^{d-1}, compared as integer tuples.
+    """
+    basis = space.V_basis
+    r = len(basis)
+    q = ctx.q
+    out = []
+    for idx in range(1, q**r):
+        cs = [(idx // q ** (r - 1 - k)) % q for k in range(r)]
+        coeffs = [0] * len(basis[0].coeffs)
+        for ck, vb in zip(cs, basis):
+            if ck:
+                for m, v in enumerate(vb.coeffs):
+                    coeffs[m] ^= ctx.mul(ck, v)
+        out.append(CurveFunction(d=basis[0].d, coeffs=tuple(coeffs), dpoly=basis[0].dpoly))
+    return out
+
+
+def shift_identity_check(family, curve, P, space, pairs=None) -> bool:
+    """Index shift equals point translation: s_{i,j+u} == Tr(z_i(P_j + [u]P)).
+
+    pairs is an iterable of (i, u); None checks every (i, u) pair.
+    """
+    pts = ordered_points(curve, P)
+    N = family.N
+    zs = enumerate_V(curve.ctx, space)
+    if pairs is None:
+        pairs = ((i, u) for i in range(family.M) for u in range(N))
+    for i, u in pairs:
+        Pu = curve.scalar_mul(u, P)
+        row = family.bits[i]
+        z = zs[i]
+        for j in range(N):
+            shifted = (row >> ((j + u) % N)) & 1
+            direct = curve.ctx.trace(eval_function(curve, z, curve.add(pts[j], Pu)))
+            if shifted != direct:
+                return False
+    return True

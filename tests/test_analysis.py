@@ -1,6 +1,5 @@
 """Correlation sweeps, cyclic linear complexity, and bound checks."""
 
-import math
 import random
 from collections import Counter
 
@@ -8,19 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_lc, cached_family, serre_breaking_family
-from ecseq.analysis import (BoundViolationError, autocorrelation, corr_bound,
-                            counting_identity_check, crosscorrelation,
-                            exhaustive_allowed, family_correlation,
-                            family_linear_complexity, lc_bound_ceil,
-                            lc_bound_check, linear_complexity_cyclic, rotate)
+from conftest import cached_family, serre_breaking_family
+from ecseq.analysis import (BoundViolationError, corr_bound,
+                            counting_identity_check, exhaustive_allowed,
+                            family_correlation, family_linear_complexity,
+                            lc_bound_ceil, lc_bound_check,
+                            linear_complexity_cyclic, rotate)
 from ecseq.family import SequenceFamily
 from ecseq.gf2 import ValidationError
-
-
-def naive_corr(a: int, b: int, u: int, N: int) -> int:
-    return sum(1 if ((a >> j) & 1) == ((b >> ((j + u) % N)) & 1) else -1
-               for j in range(N))
+from oracles import brute_lc, corr, serre_failures
 
 
 def bits_and_delay(max_n=64):
@@ -33,17 +28,21 @@ def bits_and_delay(max_n=64):
 
 @given(bits_and_delay())
 def test_correlation_matches_naive_and_parity(args):
+    # the kernel's rotate, bit by bit, and its correlation against the oracle
     N, a, b, u = args
-    c = crosscorrelation(a, b, u, N)
-    assert c == naive_corr(a, b, u, N)
+    r = rotate(b, u, N)
+    assert all((r >> j) & 1 == (b >> (j + u) % N) & 1 for j in range(N))
+    c = N - 2 * (a ^ r).bit_count()
+    assert c == corr(a, b, u, N)
     assert (c - N) % 2 == 0
     assert -N <= c <= N
 
 
 @given(bits_and_delay())
 def test_cross_symmetry(args):
+    # C_u(a, b) = C_{N-u}(b, a): the exhaustive sweep visits i < j only
     N, a, b, u = args
-    assert crosscorrelation(a, b, u, N) == crosscorrelation(b, a, (N - u) % N, N)
+    assert (a ^ rotate(b, u, N)).bit_count() == (b ^ rotate(a, N - u, N)).bit_count()
 
 
 @given(bits_and_delay())
@@ -55,14 +54,10 @@ def test_rotate_composition(args):
 
 def test_autocorrelation_basics():
     N = 13
-    assert autocorrelation(0, 5, N) == N            # constant sequence
-    assert autocorrelation((1 << N) - 1, 3, N) == N
+    assert corr(0, 0, 5, N) == N            # constant sequence
+    assert corr((1 << N) - 1, (1 << N) - 1, 3, N) == N
     s = 0b1011001
-    assert autocorrelation(s, 2, 7) == autocorrelation(s, 5, 7)
-    with pytest.raises(ValidationError):
-        autocorrelation(s, 0, 7)
-    with pytest.raises(ValidationError):
-        crosscorrelation(s, s, 7, 7)
+    assert corr(s, s, 2, 7) == corr(s, s, 5, 7)
 
 
 def test_corr_bound_values():
@@ -75,9 +70,9 @@ def test_family_correlation_matches_naive_oracle():
     fam = cached_family(3, 4, 2)
     rep = family_correlation(fam)
     N, M = fam.N, fam.M
-    naive_max_auto = max(naive_corr(s, s, u, N)
+    naive_max_auto = max(corr(s, s, u, N)
                          for s in fam.bits for u in range(1, N))
-    naive_max_cross = max(naive_corr(fam.bits[i], fam.bits[j], u, N)
+    naive_max_cross = max(corr(fam.bits[i], fam.bits[j], u, N)
                           for i in range(M) for j in range(M) if i != j
                           for u in range(N))
     assert rep.max_auto == naive_max_auto
@@ -85,9 +80,9 @@ def test_family_correlation_matches_naive_oracle():
     assert rep.cor == max(naive_max_auto, naive_max_cross) <= rep.bound
     assert sum(rep.histogram.values()) == M * (N - 1) + M * (M - 1) * N
     i, u = rep.auto_witness
-    assert naive_corr(fam.bits[i], fam.bits[i], u, N) == rep.max_auto
+    assert corr(fam.bits[i], fam.bits[i], u, N) == rep.max_auto
     i, j, u = rep.cross_witness
-    assert naive_corr(fam.bits[i], fam.bits[j], u, N) == rep.max_cross
+    assert corr(fam.bits[i], fam.bits[j], u, N) == rep.max_cross
 
 
 def naive_report(fam):
@@ -99,7 +94,7 @@ def naive_report(fam):
     auto_wit = cross_wit = None
     for i in range(M):
         for u in range(1, N):
-            c = autocorrelation(bits[i], u, N)
+            c = corr(bits[i], bits[i], u, N)
             hist[c] += 1
             if c > max_auto:
                 max_auto, auto_wit = c, (i, u)
@@ -108,7 +103,7 @@ def naive_report(fam):
             if i == j:
                 continue
             for u in range(N):
-                c = crosscorrelation(bits[i], bits[j], u, N)
+                c = corr(bits[i], bits[j], u, N)
                 hist[c] += 1
                 if i < j and c > max_cross:
                     max_cross, cross_wit = c, (i, j, u)
@@ -135,7 +130,7 @@ def test_autocorrelation_half_sweep_matches_full_sweep(N):
     rows = [rng.randrange(1 << N) for _ in range(8)]
     rows.append(int("01" * N, 2) & ((1 << N) - 1))  # period 2: ties at many u
     for s in rows:
-        full = [autocorrelation(s, u, N) for u in range(1, N)]
+        full = [corr(s, s, u, N) for u in range(1, N)]
         rep = family_correlation(SequenceFamily(n=12, t=0, d=3, N=N, M=1, bits=[s]))
         assert rep.histogram == Counter(full)
         assert rep.max_auto == max(full)
@@ -154,7 +149,7 @@ def test_autocorrelation_violation_location(N):
     # report names the first u of the maximum, which is checked first
     s = int("01" * N, 2) & ((1 << N) - 1)
     fake = SequenceFamily(n=2, t=1, d=2, N=N, M=1, bits=[s])
-    full = [autocorrelation(s, u, N) for u in range(1, N)]
+    full = [corr(s, s, u, N) for u in range(1, N)]
     assert max(full) > 21 and min(full) < -21
     first = 1 + full.index(max(full))
     with pytest.raises(BoundViolationError, match=rf"auto \(i, u\) = \(0, {first}\)"):
@@ -169,7 +164,7 @@ def test_negative_correlation_violation_raises():
                           bits=[s, ~s & ((1 << N) - 1)])
     bound = corr_bound(fake.q, fake.t, fake.d)
     assert bound < N
-    assert max(crosscorrelation(s, fake.bits[1], u, N) for u in range(N)) <= bound
+    assert max(corr(s, fake.bits[1], u, N) for u in range(N)) <= bound
     with pytest.raises(BoundViolationError, match=r"cross \(i, j, u\) = \(0, 1, 0\)"):
         family_correlation(fake)
 
@@ -275,12 +270,10 @@ def test_counting_identities():
 
 def test_counting_identity_failure_at_two_delays_is_found():
     fam = serre_breaking_family()
-    N, t = fam.N, fam.t
-    serre = 5 * math.isqrt(4 * fam.q)
-    auto = {(i, u): autocorrelation(s, u, N)
-            for i, s in enumerate(fam.bits) for u in range(1, N)}
-    assert [iu for iu, a in auto.items() if abs(a + t) > serre] == [(300, 7), (300, 538)]
-    assert max(map(abs, auto.values())) <= corr_bound(fam.q, t, fam.d) == 257
+    N = fam.N
+    assert serre_failures(fam) == [(300, 7), (300, 538)]
+    assert (max(abs(corr(s, s, u, N)) for s in fam.bits for u in range(1, N))
+            <= corr_bound(fam.q, fam.t, fam.d) == 257)
     assert counting_identity_check(fam) is False
     assert family_correlation(fam, sampled=10_000).identities_ok is False
 

@@ -76,12 +76,17 @@ def test_validation_exit_codes(tmp_path):
     # inadmissible trace
     assert run(["generate", "--n", 3, "--t", 2, "--d", 2,
                 "--out", tmp_path / "y.ecseq"]) == 2
+    # count-places checks the instance as generate does, --verify or not
+    for n, t, d in [(-1, 1, 2), (40, 1, 3), (3, 2, 2)]:
+        assert run(["count-places", "--n", n, "--t", t, "--d", d]) == 2
 
 
 def test_io_exit_codes(tmp_path):
     assert run(["analyze", tmp_path / "missing.ecseq"]) == 4
     bad = tmp_path / "bad.ecseq"
     bad.write_text("not an ecseq file\n")
+    assert run(["analyze", bad]) == 4
+    bad.write_bytes(b"ECSEQ v1 n=2 t=0 d=2 N=5 M=3\n{}\n\xff\xfe\n")  # not UTF-8
     assert run(["analyze", bad]) == 4
 
 

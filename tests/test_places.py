@@ -1,35 +1,16 @@
 """Degree-d places: counting formula vs enumeration, regularity, translation."""
 
-import math
 import random
 
 import pytest
 
 from conftest import cached_curve, cached_instance
-from ecseq.curves import INFINITY, Curve, Point, _sort_key, admissible_t
+from ecseq.curves import INFINITY, Curve, Point, admissible_t
 from ecseq.gf2 import ValidationError, make_ext, make_field
 from ecseq.places import (count_place_orbits, count_places_formula,
                           enumerate_places_deg_d, find_place, frobenius_orbit,
-                          frobenius_power_sums, moebius, point_frobenius,
-                          translate_place)
-
-
-def per_point_enumeration(curve, ext, d):
-    """Reference oracle: every point of E(GF(q^d)), its Frobenius orbit, and
-    a seen set; orbits rotated to their smallest (x, y) point, then sorted."""
-    assert ext.d == d
-    seen: set[Point] = set()
-    orbits = []
-    for P in curve.iter_points(ext):
-        if P in seen:
-            continue
-        orbit = frobenius_orbit(ext, P)
-        seen.update(orbit)
-        if len(orbit) == d:
-            k = min(range(d), key=lambda i: _sort_key(orbit[i]))
-            orbits.append(orbit[k:] + orbit[:k])
-    orbits.sort(key=lambda o: _sort_key(o[0]))
-    return orbits
+                          frobenius_power_sums, moebius, point_frobenius)
+from oracles import per_point_enumeration, translate_orbit
 
 
 def test_moebius_values():
@@ -43,7 +24,7 @@ def test_power_sums_match_extension_point_counts():
     s = frobenius_power_sums(q, curve.t, 3)
     for r in (2, 3):
         ext = make_ext(curve.ctx, r)
-        assert len(curve.points_over(ext)) == q**r + 1 - s[r - 1]
+        assert 1 + sum(1 for _ in curve.iter_points(ext)) == q**r + 1 - s[r - 1]
     assert s[0] == -curve.t
 
 
@@ -160,15 +141,15 @@ def test_translate_place_orbit_structure():
     curve, P, ext, place, space = cached_instance(3, 4, 2)
     seen = set()
     for j in range(curve.N):
-        pl = translate_place(curve, place, j, P, ext)
+        orbit = translate_orbit(curve, place.orbit, j, P, ext)
         # translated orbits are still Frobenius orbits of curve points
-        assert pl.orbit == frobenius_orbit(ext, pl.orbit[0])
-        for R in pl.orbit:
+        assert orbit == frobenius_orbit(ext, orbit[0])
+        for R in orbit:
             assert curve.on_curve(R, ext)
-        seen.add(frozenset(pl.orbit))
+        seen.add(frozenset(orbit))
     assert len(seen) == curve.N  # N pairwise distinct translates
-    assert translate_place(curve, place, 0, P, ext).orbit == place.orbit
-    assert translate_place(curve, place, curve.N, P, ext).orbit == place.orbit
+    assert translate_orbit(curve, place.orbit, 0, P, ext) == place.orbit
+    assert translate_orbit(curve, place.orbit, curve.N, P, ext) == place.orbit
 
 
 def test_point_frobenius_fixes_rational_points():
