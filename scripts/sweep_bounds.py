@@ -10,13 +10,11 @@ Usage: python3 scripts/sweep_bounds.py [--max-n 6]
 """
 
 import argparse
-import math
 import time
 
-from ecseq import (admissible_t, build_instance, family_correlation,
-                   family_linear_complexity, gen_family)
+from ecseq import build_instance, family_correlation, family_linear_complexity, gen_family
 from ecseq.analysis import exhaustive_allowed
-from ecseq.gf2 import MAX_EXT_DEGREE
+from ecseq.family import family_sizes
 
 
 def main(argv=None):
@@ -28,21 +26,18 @@ def main(argv=None):
 
     total = 0
     for n in range(2, args.max_n + 1):
-        for t in admissible_t(n):
-            for d in (2, 3):
-                if math.gcd(d, (1 << n) + 1 + t) != 1 or n * d > MAX_EXT_DEGREE:
-                    continue
-                t0 = time.perf_counter()
-                curve, P, ext, place, space = build_instance(n, t, d)
-                fam = gen_family(curve, P, space, ext)
-                sampled = None if exhaustive_allowed(fam) else args.sampled
-                corr = family_correlation(fam, sampled=sampled)
-                assert corr.identities_ok, (n, t, d)
-                lc = family_linear_complexity(fam)
-                total += 1
-                print(f"n={n} t={t:>3} d={d}  N={fam.N:>4} M={fam.M:>5}  "
-                      f"cor={corr.cor:>4}/{corr.bound:<4} lc_min={lc.lc_min:>4}  "
-                      f"[{corr.mode}] {time.perf_counter() - t0:.2f}s")
+        for t, d in family_sizes(n):
+            t0 = time.perf_counter()
+            curve, P, ext, place, space = build_instance(n, t, d)
+            fam = gen_family(curve, P, space, ext)
+            sampled = None if exhaustive_allowed(fam) else args.sampled
+            corr = family_correlation(fam, sampled=sampled)
+            assert corr.identities_ok, (n, t, d)
+            lc = family_linear_complexity(fam)
+            total += 1
+            print(f"n={n} t={t:>3} d={d}  N={fam.N:>4} M={fam.M:>5}  "
+                  f"cor={corr.cor:>4}/{corr.bound:<4} lc_min={lc.lc_min:>4}  "
+                  f"[{corr.mode}] {time.perf_counter() - t0:.2f}s")
     print(f"\n{total} instances, all bounds hold")
 
 

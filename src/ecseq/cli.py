@@ -10,16 +10,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 
 from .analysis import (BoundViolationError, exhaustive_allowed,
                        family_correlation, family_linear_complexity)
 from .curves import CurveSearchSpec, admissible_t, search_cyclic_curve, special_traces
-from .family import (FormatError, build_instance, gen_family, read_family,
-                     write_family)
-from .gf2 import ValidationError, make_ext, make_field
+from .family import (FormatError, build_instance, family_sizes, gen_family,
+                     read_family, write_family)
+from .gf2 import MAX_EXT_DEGREE, ValidationError, make_ext, make_field
 from .places import count_place_orbits, count_places_formula
 
 # Published reference values, reported alongside our results but never
@@ -94,6 +93,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_reproduce_table(args) -> int:
+    if args.sampled < 1:  # checked before any row is built, as analyze checks it
+        raise ValidationError(f"sampled probe count {args.sampled} is below 1")
     # Table 3: d = 2 at the largest even trace; Table 2: d = 3 at t = -1
     table3 = args.table == 3
     refs = TABLE3_REFERENCE if table3 else TABLE2_REFERENCE
@@ -119,6 +120,8 @@ def cmd_reproduce_table(args) -> int:
 
 def cmd_count_places(args) -> int:
     CurveSearchSpec(args.n, args.t).validate()  # the instance must exist, as in generate
+    if not 1 <= args.d <= MAX_EXT_DEGREE:  # beyond it B_d can outgrow what JSON prints
+        raise ValidationError(f"d={args.d} outside [1, {MAX_EXT_DEGREE}]")
     q = 1 << args.n
     formula = count_places_formula(q, args.t, args.d)
     enumerated = None
@@ -136,11 +139,11 @@ def cmd_count_places(args) -> int:
 
 
 def cmd_admissible(args) -> int:
+    sizes = family_sizes(args.n)
     rows = []
     for t in admissible_t(args.n):
-        N = (1 << args.n) + 1 + t
-        ds = [d for d in (2, 3) if math.gcd(d, N) == 1]
-        rows.append({"t": t, "N": N, "d_choices": ds,
+        ds = [d for d in (2, 3) if (t, d) in sizes]
+        rows.append({"t": t, "N": (1 << args.n) + 1 + t, "d_choices": ds,
                      "family": "ordinary" if t % 2 else "supersingular"})
     _emit({"n": args.n, "q": 1 << args.n, "rows": rows}, args.out)
     return 0

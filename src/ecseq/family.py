@@ -12,14 +12,23 @@ from dataclasses import dataclass, field
 
 from .curves import (Curve, CurveSearchSpec, Point, admissible_t, ordered_points,
                      search_cyclic_curve)
-from .gf2 import (MAX_DEGREE, MAX_EXT_DEGREE, MIN_DEGREE, ExtFieldContext, make_ext,
-                  make_field)
+from .gf2 import (MAX_DEGREE, MAX_EXT_DEGREE, MIN_DEGREE, ExtFieldContext,
+                  ValidationError, make_ext, make_field)
 from .places import PlaceD, find_place
 from .rrspace import RRSpace, eval_function, rr_basis
 
 
 class FormatError(ValueError):
     """Malformed ECSEQ file."""
+
+
+def family_sizes(n: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """Every family that generate builds and read_family accepts over GF(2^n), as
+    {(t, d): (N, M)}: t admissible, d in {2, 3}, q^d within the extension cap and
+    gcd(d, N) = 1, where N = q + 1 + t and M = q^(d-1) - 1; empty for n out of range."""
+    ts = admissible_t(n) if MIN_DEGREE <= n <= MAX_DEGREE else []
+    return {(t, d): ((1 << n) + 1 + t, (1 << n * (d - 1)) - 1) for t in ts for d in (2, 3)
+            if n * d <= MAX_EXT_DEGREE and math.gcd(d, (1 << n) + 1 + t) == 1}
 
 
 @dataclass
@@ -43,10 +52,12 @@ def build_instance(n: int, t: int, d: int
 
     The first cyclic curve with N = 2^n + 1 + t and its generator P, the
     degree-d extension, the first regular degree-d place and the basis of
-    L(Q).  Raises ValidationError for q^d over the extension cap (before any
-    search), an inadmissible t or gcd(d, N) != 1.
+    L(Q).  Raises ValidationError, before any search, for q^d over the
+    extension cap or a (t, d) that family_sizes(n) does not list.
     """
     ext = make_ext(make_field(n), d)
+    if (t, d) not in family_sizes(n):
+        raise ValidationError(f"no family for n={n} t={t} d={d}; see `ecseq admissible --n {n}`")
     curve, P = search_cyclic_curve(CurveSearchSpec(n, t))
     place = find_place(curve, ext, d)
     return curve, P, ext, place, rr_basis(curve, ext, place)
@@ -126,15 +137,8 @@ def read_family(path) -> SequenceFamily:
         provenance = json.loads(lines[1])
     except (KeyError, ValueError, IndexError) as exc:
         raise FormatError(f"bad ECSEQ header or provenance: {exc}") from exc
-    # each test guards the next: admissible_t needs n in its supported range,
-    # and the size of M is only computed for a valid n and d (n*d capped as in generate)
-    if not (MIN_DEGREE <= n <= MAX_DEGREE and d in (2, 3) and n * d <= MAX_EXT_DEGREE
-            and t in admissible_t(n)):
-        raise FormatError(f"unsupported header n={n} t={t} d={d}")
-    if N != (1 << n) + 1 + t or math.gcd(d, N) != 1:
-        raise FormatError(f"N={N} is not 2^n+1+t coprime to d={d}")
-    if M != (1 << n * (d - 1)) - 1:
-        raise FormatError(f"M={M} is not q^(d-1)-1")
+    if family_sizes(n).get((t, d)) != (N, M):
+        raise FormatError(f"n={n} t={t} d={d} N={N} M={M} is not a family generate builds")
     if len(lines) != 2 + M:
         raise FormatError(f"expected {M} rows, found {len(lines) - 2}")
     nbytes = (N + 7) // 8

@@ -17,6 +17,7 @@ from ecseq.cli import main as cli_main
 from ecseq.curves import (INFINITY, CurveSearchSpec, admissible_t,
                           ordered_points, point_order, search_cyclic_curve,
                           special_traces)
+from ecseq.family import family_sizes
 from ecseq.gf2 import MAX_EXT_DEGREE, factorize, make_ext
 from ecseq.places import (_build_place, count_place_orbits,
                           count_places_formula, enumerate_places_deg_d)
@@ -102,11 +103,11 @@ def test_criterion_5_group_structure():
             assert set(pts) == {INFINITY, *curve.iter_points()}
             if curve.N > 300:
                 continue
-            # N distinct translates, for a degree coprime to N within the
-            # extension cap (even-N curves at n in {7, 8} would need d=3
-            # over 2^21+ elements and are excluded by the cap)
+            # N distinct translates, for the first d of a family the tool
+            # builds (even-N curves at n in {7, 8} would need d=3 over 2^21+
+            # elements and are excluded by the extension cap)
             for d in (2, 3):
-                if math.gcd(d, curve.N) == 1 and n * d <= MAX_EXT_DEGREE:
+                if (t, d) in family_sizes(n):
                     _, _, ext, place, _ = cached_instance(n, t, d)
                     orbits = {frozenset(translate_orbit(curve, place.orbit, j, P, ext))
                               for j in range(curve.N)}

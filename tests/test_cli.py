@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 from conftest import cached_family, serre_breaking_family
+from ecseq import family
 from ecseq.cli import main
 from ecseq.family import write_family
+from ecseq.gf2 import MAX_DEGREE, MIN_DEGREE
 
 
 def run(argv):
@@ -27,6 +29,36 @@ def test_admissible_lists_expected_rows(tmp_path):
     assert rows[-1]["d_choices"] == [3]
     assert rows[7]["d_choices"] == []  # N=72 shares factors with 2 and 3
     assert rows[8]["N"] == 73
+    # q^3 over the extension cap at n = 7, and q^2 too at n = 11
+    assert run(["admissible", "--n", 7, "--out", out]) == 0
+    assert not any(3 in r["d_choices"] for r in json.loads(out.read_text())["rows"])
+    assert run(["admissible", "--n", 11, "--out", out]) == 0
+    assert all(r["d_choices"] == [] for r in json.loads(out.read_text())["rows"])
+
+
+class _Searched(Exception):
+    pass
+
+
+def _no_search(spec):
+    raise _Searched
+
+
+def test_admissible_lists_exactly_what_generate_accepts(tmp_path, monkeypatch):
+    # a listed (t, d) passes generate's validation and reaches the curve
+    # search; an unlisted one exits 2 before it
+    monkeypatch.setattr(family, "search_cyclic_curve", _no_search)
+    out = tmp_path / "adm.json"
+    for n in range(MIN_DEGREE, MAX_DEGREE + 1):
+        assert run(["admissible", "--n", n, "--out", out]) == 0
+        for row in json.loads(out.read_text())["rows"]:
+            for d in (2, 3):
+                argv = ["generate", "--n", n, "--t", row["t"], "--d", d, "--out", out]
+                if d in row["d_choices"]:
+                    with pytest.raises(_Searched):
+                        run(argv)
+                else:
+                    assert run(argv) == 2, (n, row["t"], d)
 
 
 def test_generate_analyze_roundtrip(tmp_path):
@@ -77,7 +109,8 @@ def test_validation_exit_codes(tmp_path):
     assert run(["generate", "--n", 3, "--t", 2, "--d", 2,
                 "--out", tmp_path / "y.ecseq"]) == 2
     # count-places checks the instance as generate does, --verify or not
-    for n, t, d in [(-1, 1, 2), (40, 1, 3), (3, 2, 2)]:
+    # and its degree lies in [1, MAX_EXT_DEGREE], so B_d stays printable
+    for n, t, d in [(-1, 1, 2), (40, 1, 3), (3, 2, 2), (12, 1, 1200), (3, 4, 0)]:
         assert run(["count-places", "--n", n, "--t", t, "--d", d]) == 2
 
 
@@ -151,7 +184,16 @@ def test_sampled_below_one_exits_2(tmp_path, capsys, k):
     assert "below 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["abc", "-5", "1.5", " 7"])
+def test_reproduce_table_sampled_below_one_exits_2(tmp_path, capsys):
+    out = tmp_path / "t2.json"
+    assert run(["reproduce-table", "--table", 2, "--n", 4, "--sampled", -5,
+                "--out", out]) == 2
+    assert "below 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5", " 7",
+                                   pytest.param("9" * 5000, id="5000-digits")])
 def test_bad_budget_env_exits_2(tmp_path, capsys, monkeypatch, value):
     fam = tmp_path / "fam.ecseq"
     write_family(cached_family(3, 4, 2), fam)
@@ -188,11 +230,13 @@ def test_count_places_verify_cap(tmp_path):
 
 
 def test_generate_over_extension_cap_exits_2(tmp_path, capsys):
-    # q^d = 2^22: rejected before the curve search at n = 11 runs
+    # q^d = 2^22 and 2^21 (N = 130 is coprime to 3, but admissible does not
+    # list d = 3 at n = 7): rejected before the curve search runs
     out = tmp_path / "fam.ecseq"
-    assert run(["generate", "--n", 11, "--t", 1, "--d", 2, "--out", out]) == 2
-    assert "exceeds the cap" in capsys.readouterr().err
-    assert not out.exists()
+    for n, t, d in [(11, 1, 2), (7, 1, 3)]:
+        assert run(["generate", "--n", n, "--t", t, "--d", d, "--out", out]) == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_reproduce_table2_small(tmp_path):

@@ -11,8 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import cached_family, cached_instance
+from ecseq import family
 from ecseq.curves import ordered_points
-from ecseq.family import FormatError, _pack_row, _unpack_row, read_family, write_family
+from ecseq.family import (FormatError, _pack_row, _unpack_row, build_instance, family_sizes,
+                          read_family, write_family)
+from ecseq.gf2 import ValidationError
 from ecseq.rrspace import eval_function
 from oracles import enumerate_V, shift_identity_check
 
@@ -116,6 +119,23 @@ def test_malformed_files_rejected(tmp_path, mutate):
     broken.write_text("\n".join(mutate(path.read_text().splitlines())) + "\n")
     with pytest.raises(FormatError):
         read_family(broken)
+
+
+@pytest.mark.parametrize("n, t, d", [(3, 4, 4), (3, 4, 1), (6, -1, 2), (3, 2, 2)])
+def test_build_instance_refuses_unlisted_family_before_search(monkeypatch, n, t, d):
+    # d outside {2, 3}, gcd(d, N) != 1, inadmissible t: none reaches the search
+    assert (t, d) not in family_sizes(n)
+    monkeypatch.setattr(family, "search_cyclic_curve", None)
+    with pytest.raises(ValidationError, match=f"ecseq admissible --n {n}"):
+        build_instance(n, t, d)
+
+
+def test_family_sizes_entries():
+    # (t, d) -> (N, M); n*d over the extension cap and n out of range list nothing
+    assert family_sizes(6)[(8, 2)] == (73, 63)
+    assert family_sizes(6)[(-1, 3)] == (64, 4095)
+    assert family_sizes(1) == family_sizes(13) == {}
+    assert all(d == 2 for _, d in family_sizes(10)) and family_sizes(11) == {}
 
 
 def test_pipeline_builds_no_extension_tables():
