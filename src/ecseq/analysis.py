@@ -91,8 +91,9 @@ def exhaustive_allowed(family: SequenceFamily) -> bool:
     _OPS_PER_MS must fit in ECSEQ_BUDGET_MS, or DEFAULT_BUDGET_MS if unset."""
     env = os.environ.get("ECSEQ_BUDGET_MS")
     if env and not (env.isascii() and env.isdigit() and len(env) <= 18):
+        shown = env if len(env) <= 20 else env[:20] + "..."
         raise ValidationError(
-            f"ECSEQ_BUDGET_MS={env!r} is not a non-negative integer of at most 18 digits")
+            f"ECSEQ_BUDGET_MS={shown!r} is not a non-negative integer of at most 18 digits")
     budget_ms = int(env) if env else DEFAULT_BUDGET_MS
     ops = (family.M * (family.M - 1) // 2 + family.M) * family.N
     return ops <= budget_ms * _OPS_PER_MS

@@ -17,7 +17,7 @@ from .analysis import (BoundViolationError, exhaustive_allowed,
                        family_correlation, family_linear_complexity)
 from .curves import CurveSearchSpec, admissible_t, search_cyclic_curve, special_traces
 from .family import (FormatError, build_instance, family_sizes, gen_family,
-                     read_family, write_family)
+                     read_family, require_family, write_family)
 from .gf2 import MAX_EXT_DEGREE, ValidationError, make_ext, make_field
 from .places import count_place_orbits, count_places_formula
 
@@ -98,11 +98,14 @@ def cmd_reproduce_table(args) -> int:
     # Table 3: d = 2 at the largest even trace; Table 2: d = 3 at t = -1
     table3 = args.table == 3
     refs = TABLE3_REFERENCE if table3 else TABLE2_REFERENCE
+    specs = [(n, special_traces(n)[-1], 2) if table3 else (n, -1, 3)
+             for n in args.n_values or ([6, 7, 8] if table3 else [4, 5, 6])]
+    for n, t, d in specs:  # refuse an unbuildable row before building the first
+        require_family(n, t, d)
     rows = []
-    for n in args.n_values or ([6, 7, 8] if table3 else [4, 5, 6]):
+    for n, t, d in specs:
         q = 1 << n
-        t = special_traces(n)[-1] if table3 else -1
-        curve, P, ext, place, space = build_instance(n, t, 2 if table3 else 3)
+        curve, P, ext, place, space = build_instance(n, t, d)
         fam = gen_family(curve, P, space, ext)
         sampled = None if exhaustive_allowed(fam) else args.sampled
         rep = family_correlation(fam, sampled=sampled, seed=args.seed)

@@ -60,7 +60,6 @@ class Curve:
         self.a1, self.a2, self.a3, self.a4, self.a6 = a1, a2, a3, a4, a6
         if self._discriminant() == 0:
             raise ValidationError("singular curve")
-        self._embedded: dict[int, tuple[int, ...]] = {}
         self.N = 1 + sum(1 for _ in self.iter_points())
         self.t = self.N - ctx.q - 1
         if self.t * self.t > 4 * ctx.q:
@@ -79,15 +78,11 @@ class Curve:
     # -- coordinate fields ------------------------------------------------
 
     def coeffs_in(self, fld: FieldContext) -> tuple[int, int, int, int, int]:
+        coeffs = (self.a1, self.a2, self.a3, self.a4, self.a6)
         if fld is self.ctx:
-            return (self.a1, self.a2, self.a3, self.a4, self.a6)
-        key = id(fld)
-        if key not in self._embedded:
-            assert isinstance(fld, ExtFieldContext) and fld.base is self.ctx
-            self._embedded[key] = tuple(
-                fld.embed(c) for c in (self.a1, self.a2, self.a3, self.a4, self.a6)
-            )
-        return self._embedded[key]
+            return coeffs
+        assert isinstance(fld, ExtFieldContext) and fld.base is self.ctx
+        return tuple(map(fld.embed, coeffs))
 
     # -- point predicates --------------------------------------------------
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .curves import (Curve, CurveSearchSpec, Point, admissible_t, ordered_points,
                      search_cyclic_curve)
 from .gf2 import (MAX_DEGREE, MAX_EXT_DEGREE, MIN_DEGREE, ExtFieldContext,
-                  ValidationError, make_ext, make_field)
+                  ValidationError, make_ext, make_field, span)
 from .places import PlaceD, find_place
 from .rrspace import RRSpace, eval_function, rr_basis
 
@@ -29,6 +29,11 @@ def family_sizes(n: int) -> dict[tuple[int, int], tuple[int, int]]:
     ts = admissible_t(n) if MIN_DEGREE <= n <= MAX_DEGREE else []
     return {(t, d): ((1 << n) + 1 + t, (1 << n * (d - 1)) - 1) for t in ts for d in (2, 3)
             if n * d <= MAX_EXT_DEGREE and math.gcd(d, (1 << n) + 1 + t) == 1}
+
+
+def require_family(n: int, t: int, d: int) -> None:
+    if (t, d) not in family_sizes(n):
+        raise ValidationError(f"no family for n={n} t={t} d={d}; see `ecseq admissible --n {n}`")
 
 
 @dataclass
@@ -56,8 +61,7 @@ def build_instance(n: int, t: int, d: int
     extension cap or a (t, d) that family_sizes(n) does not list.
     """
     ext = make_ext(make_field(n), d)
-    if (t, d) not in family_sizes(n):
-        raise ValidationError(f"no family for n={n} t={t} d={d}; see `ecseq admissible --n {n}`")
+    require_family(n, t, d)
     curve, P = search_cyclic_curve(CurveSearchSpec(n, t))
     place = find_place(curve, ext, d)
     return curve, P, ext, place, rr_basis(curve, ext, place)
@@ -81,10 +85,7 @@ def gen_family(curve: Curve, P: Point, space: RRSpace,
         vals = [eval_function(curve, b, pt) for pt in pts]
         for i in range(ctx.n):
             planes.append(sum(trace(mul(1 << i, v)) << j for j, v in enumerate(vals)))
-    rows = [0]
-    for g in planes:
-        rows += [v ^ g for v in rows]
-    bits = rows[1:]
+    bits = span(planes)[1:]
     prov = {
         "field": ctx.serialize(),
         "ext_field": ext.serialize(),
@@ -135,8 +136,10 @@ def read_family(path) -> SequenceFamily:
         n, t, d = int(fields["n"]), int(fields["t"]), int(fields["d"])
         N, M = int(fields["N"]), int(fields["M"])
         provenance = json.loads(lines[1])
-    except (KeyError, ValueError, IndexError) as exc:
+    except (KeyError, ValueError, IndexError, RecursionError) as exc:
         raise FormatError(f"bad ECSEQ header or provenance: {exc}") from exc
+    if not isinstance(provenance, dict):
+        raise FormatError("provenance is not a JSON object")
     if family_sizes(n).get((t, d)) != (N, M):
         raise FormatError(f"n={n} t={t} d={d} N={N} M={M} is not a family generate builds")
     if len(lines) != 2 + M:

@@ -6,11 +6,13 @@ and owns all arithmetic; elements carry no state of their own, so contexts
 are safely shareable and every operation is a pure function of its inputs.
 
 A base field builds log/exp tables on construction, for table-lookup
-arithmetic.  An extension is carry-less: it multiplies by clmul, inverts by
-extended Euclid, and maps GF(2)-linearly (q-Frobenius, square root) by split
-lookups of 2 * 2^(m/2) entries.  Only the place oracle builds an extension's
-log/exp tables (:meth:`FieldContext.build_tables`); MAX_EXT_DEGREE bounds
-them, and :func:`make_ext` is the one place that cap is checked.
+arithmetic.  An extension is carry-less: it multiplies by clmul and inverts
+by extended Euclid.  Every GF(2)-linear map (reduction mod the modulus,
+q-Frobenius, square root, embedding, the quadratic solver's root map) is a
+:func:`linear_map`, two :func:`span` tables of 2^(m/2) entries each.  Only
+the place oracle builds an extension's log/exp tables
+(:meth:`FieldContext.build_tables`); MAX_EXT_DEGREE bounds them, and
+:func:`make_ext` is the one place that cap is checked.
 
 Field elements serialize as lowercase hex of the coefficient bit vector;
 a context serializes as ``{"n": ..., "modulus": <hex>}``.
@@ -19,6 +21,7 @@ a context serializes as ``{"n": ..., "modulus": <hex>}``.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from operator import add, sub
 
 MIN_DEGREE = 2
@@ -60,15 +63,19 @@ def poly_gcd(a: int, b: int) -> int:
     return a
 
 
-def split_lookup(images: list[int]) -> tuple[list[int], list[int], int]:
-    """(lo, hi, h) such that a -> lo[a & (1 << h) - 1] ^ hi[a >> h] is the
-    GF(2)-linear map sending 1 << i to images[i]."""
+def span(vectors: list[int]) -> list[int]:
+    """Entry m is the XOR of the vectors that the bits of m select."""
+    out = [0]
+    for v in vectors:
+        out += [e ^ v for e in out]
+    return out
+
+
+def linear_map(images: list[int]) -> Callable[[int], int]:
+    """The GF(2)-linear map sending 1 << i to images[i], by two half-width spans."""
     h = len(images) // 2
-    lo, hi = [0], [0]
-    for i, v in enumerate(images):
-        part = lo if i < h else hi
-        part += [e ^ v for e in part]
-    return lo, hi, h
+    lo, hi, low = span(images[:h]), span(images[h:]), (1 << h) - 1
+    return lambda a: lo[a & low] ^ hi[a >> h]
 
 
 def factorize(m: int) -> dict[int, int]:
@@ -146,13 +153,13 @@ class GF2Solver:
             ]
             self.pivots.append((pb, c, combo))
 
-    def lookup(self, width: int) -> tuple[list[int], list[int], int]:
-        """The solution map on width-bit w in the column span, as a split_lookup:
+    def lookup(self, width: int) -> Callable[[int], int]:
+        """The solution map on width-bit w in the column span, as a linear_map:
         the reduced pivots each fire on their own lead bit of w (linearly)."""
         images = [0] * width
         for pb, _, pc in self.pivots:
             images[pb] = pc
-        return split_lookup(images)
+        return linear_map(images)
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +177,7 @@ class FieldContext:
         self._exp: list[int] = []
         self._log: list[int | None] = []
         # the bits x^n.. of a carry-less product reduce GF(2)-linearly
-        self._reduce = split_lookup([poly_mod(1 << self.n + i, modulus) for i in range(self.n - 1)])
+        self._reduce = linear_map([poly_mod(1 << self.n + i, modulus) for i in range(self.n - 1)])
         self._init_arithmetic()
         self.trace_mask = self._compute_trace_mask()
         # z -> z^2 + z, linear onto the trace-0 hyperplane: one root of z^2 + z = w
@@ -199,9 +206,12 @@ class FieldContext:
         order = self.q - 1
         gamma = next(g for g in range(2, self.q)
                      if all(self._clmul_pow(g, order // p) != 1 for p in factorize(order)))
-        # a -> a*gamma is GF(2)-linear
-        lo, hi, h = split_lookup([self._clmul_mod(1 << i, gamma) for i in range(self.n)])
-        low = (1 << h) - 1
+        # a -> a*gamma is GF(2)-linear; its lookup stays inline rather than a
+        # linear_map call, which would add a function call to each of the
+        # loop's q - 1 steps (2^20 at the cap)
+        images = [self._clmul_mod(1 << i, gamma) for i in range(self.n)]
+        h = self.n // 2
+        lo, hi, low = span(images[:h]), span(images[h:]), (1 << h) - 1
         exp = [0] * order
         log: list[int | None] = [None] * self.q
         acc = 1
@@ -215,9 +225,7 @@ class FieldContext:
     def _clmul_mod(self, a: int, b: int) -> int:
         """a*b without tables: poly_mod(clmul(a, b), modulus)."""
         p = clmul(a, b)
-        t = p >> self.n
-        lo, hi, h = self._reduce
-        return (p & self.q - 1) ^ lo[t & (1 << h) - 1] ^ hi[t >> h]
+        return (p & self.q - 1) ^ self._reduce(p >> self.n)
 
     def _clmul_pow(self, a: int, e: int) -> int:
         """a^e by carry-less square-and-multiply (inverting first if e < 0)."""
@@ -277,10 +285,8 @@ class FieldContext:
                 lo, hi = v[i:i + h], v[i + h:i + 2 * h]
                 v[i:i + h] = map(add, lo, hi)
                 v[i + h:i + 2 * h] = map(sub, lo, hi)
-        masks = [0]  # masks[c] = L(c), by linearity from L(2^j)
-        for j in range(self.n):
-            lj = sum(self.trace(self.mul(1 << j, 1 << i)) << i for i in range(self.n))
-            masks += [m ^ lj for m in masks]
+        masks = span([sum(self.trace(self.mul(1 << j, 1 << i)) << i for i in range(self.n))
+                      for j in range(self.n)])  # masks[c] = L(c), by linearity from L(2^j)
         return [(q + v[m]) >> 1 for m in masks]
 
     # -- char-2 quadratics ---------------------------------------------
@@ -292,8 +298,7 @@ class FieldContext:
         w = self.div(u, self.mul(c, c))
         if self.trace(w):
             return ()
-        lo, hi, h = self._as_root
-        y0 = self.mul(c, lo[w & (1 << h) - 1] ^ hi[w >> h])
+        y0 = self.mul(c, self._as_root(w))
         y1 = y0 ^ c
         return (y0, y1) if y0 < y1 else (y1, y0)
 
@@ -314,7 +319,8 @@ class ExtFieldContext(FieldContext):
     base modulus inside the extension.
 
     Its arithmetic is table-free (build_tables serves the place oracle);
-    embed and its inverse, decode, are split lookups.
+    embed, the ring embedding GF(2^n) -> GF(2^(n*d)), and its inverse,
+    decode, are linear maps.
     """
 
     def __init__(self, base: FieldContext, d: int):
@@ -322,7 +328,7 @@ class ExtFieldContext(FieldContext):
         super().__init__(smallest_irreducible(base.n * d))
         self.embed_image = self._find_embed_image()
         beta_pow = [self.pow(self.embed_image, i) for i in range(base.n)]
-        self._embed = split_lookup(beta_pow)
+        self.embed = linear_map(beta_pow)
         self._decode = GF2Solver(beta_pow).lookup(self.n)
 
     def _init_arithmetic(self) -> None:
@@ -331,8 +337,8 @@ class ExtFieldContext(FieldContext):
         images = [[1 << i for i in range(self.n)]]
         while len(images) < self.n:
             images.append([self.mul(a, a) for a in images[-1]])
-        self._frob = split_lookup(images[self.base.n % self.n])
-        self._sqrt = split_lookup(images[-1])
+        self.frobenius_q = linear_map(images[self.base.n % self.n])
+        self.sqrt = linear_map(images[-1])
 
     def _find_embed_image(self) -> int:
         # The roots of the base modulus lie in the subfield, the kernel of
@@ -340,22 +346,13 @@ class ExtFieldContext(FieldContext):
         cols = [self.frobenius_q(1 << i) ^ (1 << i) for i in range(self.n)]
         basis = GF2Solver(cols).null_combos
         assert len(basis) == self.base.n
-        subfield = [0]
-        for b in basis:
-            subfield += [e ^ b for e in subfield]
         p = self.base.modulus
-        return next(e for e in sorted(subfield) if e and not functools.reduce(  # Horner
+        return next(e for e in sorted(span(basis)) if e and not functools.reduce(  # Horner
             lambda r, i: self.mul(r, e) ^ (p >> i) & 1, range(self.base.n, -1, -1), 0))
 
-    def embed(self, a: int) -> int:
-        """Ring embedding GF(2^n) -> GF(2^(n*d))."""
-        lo, hi, h = self._embed
-        return lo[a & (1 << h) - 1] ^ hi[a >> h]
-
     def decode(self, e: int) -> int:
-        """Inverse of :meth:`embed`; raises if e is outside the subfield."""
-        lo, hi, h = self._decode
-        a = lo[e & (1 << h) - 1] ^ hi[e >> h]
+        """Inverse of embed; raises if e is outside the subfield."""
+        a = self._decode(e)
         if self.embed(a) != e:
             raise ValueError("element not in the embedded base field")
         return a
@@ -378,15 +375,6 @@ class ExtFieldContext(FieldContext):
             g1 ^= g2 << j
         return g1
 
-    def sqrt(self, a: int) -> int:
-        lo, hi, h = self._sqrt
-        return lo[a & (1 << h) - 1] ^ hi[a >> h]
-
-    def frobenius_q(self, a: int) -> int:
-        """q-power Frobenius a -> a^(2^n)."""
-        lo, hi, h = self._frob
-        return lo[a & (1 << h) - 1] ^ hi[a >> h]
-
     def serialize(self) -> dict:
         return {**super().serialize(), "base_n": self.base.n, "d": self.d,
                 "embed_image": format(self.embed_image, "x")}
@@ -407,22 +395,14 @@ def make_field(n: int) -> FieldContext:
 
 
 @functools.lru_cache(maxsize=None)
-def _make_ext_cached(n: int, d: int) -> ExtFieldContext:
-    return ExtFieldContext(make_field(n), d)
-
-
 def make_ext(base: FieldContext, d: int) -> ExtFieldContext:
     """GF(2^(n*d)) with a verified embedding of the given base field."""
     if d < 1:
         raise ValidationError("relative degree must be positive")
     if base.n * d > MAX_EXT_DEGREE:
         raise ValidationError(f"q^d = 2^{base.n * d} exceeds the cap 2^{MAX_EXT_DEGREE}")
-    return _make_ext_cached(base.n, d)
+    return ExtFieldContext(base, d)
 
 
 def elem_to_hex(a: int) -> str:
     return format(a, "x")
-
-
-def elem_from_hex(s: str) -> int:
-    return int(s, 16)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import xor
 
 from .curves import INFINITY, Curve, Point, _sort_key
-from .gf2 import ExtFieldContext, ValidationError, elem_to_hex
+from .gf2 import ExtFieldContext, ValidationError, elem_to_hex, factorize
 
 
 @dataclass(frozen=True)
@@ -46,18 +46,8 @@ class PlaceD:
 # Counting formula (zeta-function side).
 
 def moebius(k: int) -> int:
-    mu = 1
-    p = 2
-    while p * p <= k:
-        if k % p == 0:
-            k //= p
-            if k % p == 0:
-                return 0
-            mu = -mu
-        p += 1 if p == 2 else 2
-    if k > 1:
-        mu = -mu
-    return mu
+    f = factorize(k)
+    return 0 if max(f.values(), default=1) > 1 else (-1) ** len(f)
 
 
 def frobenius_power_sums(q: int, t: int, r_max: int) -> list[int]:

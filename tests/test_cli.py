@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import cached_family, serre_breaking_family
-from ecseq import family
+from ecseq import cli, family
 from ecseq.cli import main
 from ecseq.family import write_family
 from ecseq.gf2 import MAX_DEGREE, MIN_DEGREE
@@ -148,6 +148,10 @@ def _space_in_row(lines):
     return lines[:2] + [lines[2][:2] + " " + lines[2][2:]] + lines[3:]
 
 
+def _provenance(lines, text):
+    return [lines[0], text, *lines[2:]]
+
+
 def _over_cap_n11():
     # a well-formed n=11 d=2 header (n*d = 22 > MAX_EXT_DEGREE) over random
     # rows with zero padding: generate refuses this instance
@@ -168,8 +172,12 @@ def _over_cap_n11():
     lambda tmp: _uppercase_rows(_family_lines(tmp, 3, 4, 2)),
     lambda tmp: _space_in_row(_family_lines(tmp, 3, 4, 2)),
     lambda tmp: _over_cap_n11(),
+    # a valid n=3 family whose provenance overflows the JSON parser's stack
+    lambda tmp: _provenance(_family_lines(tmp, 3, 4, 2), "[" * 200000 + "]" * 200000),
+    # ... or is JSON but not an object
+    lambda tmp: _provenance(_family_lines(tmp, 3, 4, 2), "5"),
 ], ids=["impossible-N", "relabelled-N", "padding-bit", "uppercase-hex",
-        "space-in-hex", "over-cap-n11"])
+        "space-in-hex", "over-cap-n11", "deep-provenance", "non-object-provenance"])
 def test_malformed_header_or_padding_exits_4(tmp_path, forge):
     forged = tmp_path / "forged.ecseq"
     forged.write_text("\n".join(forge(tmp_path)) + "\n")
@@ -199,7 +207,10 @@ def test_bad_budget_env_exits_2(tmp_path, capsys, monkeypatch, value):
     write_family(cached_family(3, 4, 2), fam)
     monkeypatch.setenv("ECSEQ_BUDGET_MS", value)
     assert run(["analyze", fam]) == 2
-    assert "not a non-negative integer" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "not a non-negative integer" in err
+    if len(value) == 5000:
+        assert len(err) < 200
 
 
 def test_zero_row_rejected(tmp_path, capsys):
@@ -237,6 +248,16 @@ def test_generate_over_extension_cap_exits_2(tmp_path, capsys):
         assert run(["generate", "--n", n, "--t", t, "--d", d, "--out", out]) == 2
         assert "exceeds the cap" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_reproduce_table_refuses_unbuildable_row_first(tmp_path, capsys, monkeypatch):
+    # q^3 = 2^21 is over the extension cap at n = 7: exit 2 before the
+    # n = 4 row is built
+    calls = []
+    monkeypatch.setattr(cli, "build_instance", lambda *a: calls.append(a))
+    assert run(["reproduce-table", "--table", 2, "--n", 4, "--n", 7]) == 2
+    assert "no family for n=7" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_reproduce_table2_small(tmp_path):

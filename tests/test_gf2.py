@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecseq.gf2 import (MAX_DEGREE, MAX_EXT_DEGREE, MIN_DEGREE, FieldContext,
-                       GF2Solver, ValidationError, clmul, elem_from_hex,
-                       elem_to_hex, factorize, is_irreducible, make_ext,
-                       make_field, poly_gcd, poly_mod, smallest_irreducible)
+                       GF2Solver, ValidationError, clmul, elem_to_hex,
+                       factorize, is_irreducible, linear_map, make_ext,
+                       make_field, poly_gcd, poly_mod, smallest_irreducible,
+                       span)
 
 
 # -- GF(2)[x] helpers against naive oracles -------------------------------
@@ -188,8 +189,7 @@ def test_gf2solver_random_systems():
         for j, c in enumerate(cols):
             if (pick >> j) & 1:
                 w ^= c
-        lo, hi, h = solver.lookup(8)
-        z = lo[w & (1 << h) - 1] ^ hi[w >> h]
+        z = solver.lookup(8)(w)
         acc = 0
         for j, c in enumerate(cols):
             if (z >> j) & 1:
@@ -201,6 +201,23 @@ def test_gf2solver_random_systems():
                 if (combo >> j) & 1:
                     acc ^= c
             assert acc == 0 and combo != 0
+
+
+def test_span_and_linear_map_match_per_bit_loop():
+    rng = random.Random(13)
+    for k in range(10):
+        for _ in range(5):
+            images = [rng.randrange(1 << 12) for _ in range(k)]
+            naive = []
+            for a in range(1 << k):
+                acc = 0
+                for i in range(k):
+                    if (a >> i) & 1:
+                        acc ^= images[i]
+                naive.append(acc)
+            assert span(images) == naive
+            f = linear_map(images)
+            assert [f(a) for a in range(1 << k)] == naive
 
 
 # -- extension fields and embeddings ----------------------------------------------
@@ -221,6 +238,18 @@ def test_embedding_is_field_homomorphism(n, d):
         e = ext.embed(a)
         assert ext.decode(e) == a
         assert ext.frobenius_q(e) == e  # fixed by the q-power Frobenius
+
+
+def test_make_ext_embeds_the_given_base_field():
+    # x^4 + x^3 + 1 is irreducible but not make_field(4)'s x^4 + x + 1
+    base = FieldContext(0b11001)
+    ext = make_ext(base, 2)
+    assert ext.base is base and base.modulus != make_field(4).modulus
+    for a in base.elements():
+        for b in base.elements():
+            assert ext.embed(a ^ b) == ext.embed(a) ^ ext.embed(b)
+            assert ext.embed(base.mul(a, b)) == ext.mul(ext.embed(a), ext.embed(b))
+    assert ext.embed(1) == 1
 
 
 def test_embed_image_is_smallest_root_of_base_modulus():
@@ -315,4 +344,4 @@ def test_tables_match_clmul_rebuild(n):
 
 def test_hex_roundtrip():
     for a in (0, 1, 0x1b, 255, 12345):
-        assert elem_from_hex(elem_to_hex(a)) == a
+        assert int(elem_to_hex(a), 16) == a

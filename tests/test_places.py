@@ -15,6 +15,9 @@ from oracles import per_point_enumeration, translate_orbit
 
 def test_moebius_values():
     assert [moebius(k) for k in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+    # over the count-places --d range: the divisor sums of mu are [k = 1]
+    for k in range(1, 21):
+        assert sum(moebius(e) for e in range(1, k + 1) if k % e == 0) == (k == 1)
 
 
 def test_power_sums_match_extension_point_counts():
