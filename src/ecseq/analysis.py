@@ -1,9 +1,15 @@
 """Correlation and cyclic linear-complexity analysis of a sequence family.
 
-Sequences are ints with bit j = s_j; correlations are computed word-packed
-as N - 2*popcount(a XOR rot(b, u)).  The cyclic linear complexity of s is
-N - deg gcd(S(x), x^N + 1) over GF(2): the connection polynomial
-(x^N + 1) / gcd has that degree and annihilates every cyclic shift.
+Sequences are ints with bit j = s_j, and C_u(a, b) = N - 2*popcount(a XOR
+rot(b, u)).  Autocorrelations are swept word-packed, row by row.  The
+exhaustive cross sweep uses the rows' GF(2) span: with s_b = sum_k c_b[k] *
+basis_k and col_j the basis bits at position j, C_u(s_i, s_b) is the
+Walsh-Hadamard transform at c_b of the buckets P[col_{j+u}] += (-1)^s_i(j).
+With one 16-bit lane per row i, one transform over 2^rank buckets gives
+every ordered pair at a delay u <= N/2, and C_u(a, b) = C_{N-u}(b, a) gives
+the rest.  The cyclic linear complexity of s is N - deg gcd(S(x), x^N + 1)
+over GF(2): the connection polynomial (x^N + 1) / gcd has that degree and
+annihilates every cyclic shift.
 """
 
 from __future__ import annotations
@@ -11,18 +17,19 @@ from __future__ import annotations
 import math
 import os
 import random
+import sys
+from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import chain, cycle, repeat
-from operator import indexOf, xor
 
 from .family import SequenceFamily
-from .gf2 import ValidationError, poly_gcd
+from .gf2 import GF2Solver, ValidationError, poly_gcd, span, walsh_hadamard
 
 DEFAULT_BUDGET_MS = 10_000  # estimated exhaustive sweep time allowed without ECSEQ_BUDGET_MS
-_OPS_PER_MS = 3500  # exhaustive pair-shifts per ms, at or below the slowest measured
+_OPS_PER_MS = 3500  # exhaustive lane operations per ms, at or below the slowest measured
 _SAMPLE_BLOCK = 4096  # sampled probes held in memory at a time
+_DIAGONAL = 0xFFFF  # marks i = b in the cross sweep's 16-bit lanes, which need 2N < it
 
 
 class BoundViolationError(AssertionError):
@@ -87,44 +94,81 @@ class LinearComplexityReport:
 
 
 def exhaustive_allowed(family: SequenceFamily) -> bool:
-    """Budget gate for exhaustive pair sweeps: (M(M-1)/2 + M) * N pair-shifts at
-    _OPS_PER_MS must fit in ECSEQ_BUDGET_MS, or DEFAULT_BUDGET_MS if unset."""
+    """Budget gate for the exhaustive sweep: M * max(M+1, 2^r) * (N//2 + 1)
+    lane operations, r the GF(2) rank of the rows, at _OPS_PER_MS must fit in
+    ECSEQ_BUDGET_MS, or DEFAULT_BUDGET_MS if unset.  The rank is found only
+    when M + 1 buckets fit; N must fit the 16-bit lanes."""
     env = os.environ.get("ECSEQ_BUDGET_MS")
     if env and not (env.isascii() and env.isdigit() and len(env) <= 18):
         shown = env if len(env) <= 20 else env[:20] + "..."
         raise ValidationError(
             f"ECSEQ_BUDGET_MS={shown!r} is not a non-negative integer of at most 18 digits")
-    budget_ms = int(env) if env else DEFAULT_BUDGET_MS
-    ops = (family.M * (family.M - 1) // 2 + family.M) * family.N
-    return ops <= budget_ms * _OPS_PER_MS
+    budget = (int(env) if env else DEFAULT_BUDGET_MS) * _OPS_PER_MS
+    per_bucket = family.M * (family.N // 2 + 1)
+    return (2 * family.N < _DIAGONAL and per_bucket * (family.M + 1) <= budget
+            and per_bucket << len(GF2Solver(family.bits).pivots) <= budget)
 
 
-def _rotations(a: int, N: int, count: int) -> list[int]:
-    """rotate(a, -u, N) for u = 0..count-1, built in C as windows of a|a<<N.
-
-    Rotation preserves popcount, so popcount(a ^ rotate(b, u, N)) equals
-    popcount(rots[u] ^ b): one row's table serves every partner b.
-    """
+def _auto_sweeps(bits: list[int], N: int) -> Iterator[list[int]]:
+    """popcount(a ^ rotate(a, u, N)) for u = 1..N-1, per row a.  A_u(a) =
+    A_{N-u}(a), so only u <= N/2 is swept, on windows of a|a<<N, then mirrored."""
     mask = (1 << N) - 1
-    return list(map(mask.__and__, map((a | a << N).__rshift__, range(N, N - count, -1))))
-
-
-def _popcounts(rots: list[int], partners) -> Iterator[int]:
-    """popcount(r ^ b) for b in partners and r in rots, partner-major.
-
-    The iteration runs in C (map over repeat/cycle), not in Python.
-    """
-    each = chain.from_iterable(map(repeat, partners, repeat(len(rots))))
-    return map(int.bit_count, map(xor, each, cycle(rots)))
-
-
-def _auto_sweeps(bits: list[int], N: int, count: int) -> Iterator[tuple[list[int], list[int]]]:
-    """(_rotations(a, N, count), auto popcounts for u = 1..N-1) per row a.
-    A_u(a) = A_{N-u}(a), so only u <= N/2 < count is swept, then mirrored."""
     for a in bits:
-        rots = _rotations(a, N, count)
-        half = list(_popcounts(rots[1:N // 2 + 1], (a,)))
-        yield rots, half + half[:(N - 1) // 2][::-1]
+        rots = map(mask.__and__, map((a | a << N).__rshift__, range(N - 1, (N - 1) // 2, -1)))
+        half = list(map(int.bit_count, map(a.__xor__, rots)))
+        yield half + half[:(N - 1) // 2][::-1]
+
+
+def _cross_transform(bits: list[int], N: int) -> tuple[Counter, Callable[[int], tuple]]:
+    """Popcount counts over every (i, j, u) with i != j, and first(pc): the
+    lexicographically first (i, j, u) with i < j where pc occurs.
+
+    Delay u <= N/2 of the ordered pair (i, b) also stands for (b, i, N-u), so
+    it counts twice when 0 < u < N/2.  A lane holds popcount(s_i ^ rot(s_b, u))
+    = (N - C_u) / 2 in [0, N], so Counter meets only small ints.
+    """
+    M = len(bits)
+    dependent = {c.bit_length() - 1 for c in GF2Solver(bits).null_combos}
+    basis = [s for j, s in enumerate(bits) if j not in dependent]  # greedy, in row order
+    coords = list(map({e: m for m, e in enumerate(span(basis))}.__getitem__, bits))
+    cols = [sum((b >> j & 1) << k for k, b in enumerate(basis)) for j in range(N)]
+    ones = int("0001" * M, 16)
+    spread = str.maketrans({"0": "0000", "1": "0001"})
+    signs = [ones - 2 * int("".join(c).translate(spread), 16)  # lane i: (-1)^s_i(j)
+             for c in zip(*(format(s, f"0{N}b") for s in reversed(bits)))][::-1]
+
+    def lanes(u: int) -> array:
+        """out[b*M + i] = popcount(s_i ^ rotate(s_b, u, N)); _DIAGONAL where i = b."""
+        buckets = [0] * (1 << len(basis))
+        for c, x in zip(cols[u:] + cols[:u], signs):
+            buckets[c] += x
+        walsh_hadamard(buckets)
+        out = array("H")
+        for c in coords:
+            out.frombytes(((N * ones - buckets[c]) >> 1).to_bytes(2 * M, "little"))
+        if sys.byteorder == "big":
+            out.byteswap()
+        out[::M + 1] = array("H", [_DIAGONAL]) * M
+        return out
+
+    per_u, total = [], Counter()
+    for u in range(N // 2 + 1):
+        counts = Counter(lanes(u))
+        del counts[_DIAGONAL]
+        per_u.append(counts.keys())
+        total.update(counts + counts if 2 * u % N else counts)
+
+    def first(pc: int) -> tuple[int, int, int]:
+        hits = []
+        for u in (u for u, keys in enumerate(per_u) if pc in keys):
+            pcs, k = lanes(u), -1
+            for _ in range(pcs.count(pc)):
+                k = pcs.index(pc, k + 1)
+                b, i = divmod(k, M)
+                hits.append((i, b, u) if i < b else (b, i, (N - u) % N))
+        return min(hits)
+
+    return total, first
 
 
 def _serre_holds(family: SequenceFamily, popcounts: Iterable[int]) -> bool:
@@ -142,29 +186,25 @@ class _Sweep:
         self.popcounts: Counter = Counter()
         self.max, self.witness = -N - 1, None
 
-    def fold(self, block: Callable[[], Iterable[int]],
-             locate: Callable[[int], tuple]) -> None:
-        """Add one block of popcounts, in witness order.
+    def fold(self, counts: Counter, first: Callable[[int], tuple]) -> None:
+        """Add one block of popcount counts; first(pc) names the (i, u) or
+        (i, j, u) where pc first occurs in witness order.
 
-        block() yields the block afresh (it is re-run only to find the
-        index of an extreme); locate(k) names the (i, u) or (i, j, u) of
-        its k-th value.  Correlation is N - 2*popcount, so the extreme
-        popcounts are the extreme correlations, and both are held to
-        |c| <= bound.  The strict > keeps the first maximiser.
+        Correlation is N - 2*popcount, so the extreme popcounts are the
+        extreme correlations, and both are held to |c| <= bound, the largest
+        correlation checked first.  The strict > keeps the first maximiser.
         """
-        counts = Counter(block())
         if not counts:
             return
         lo, hi = min(counts), max(counts)
         for pc in (lo, hi):
             if abs(self.N - 2 * pc) > self.bound:
                 raise BoundViolationError(
-                    f"|{self.N - 2 * pc}| > bound {self.bound} at "
-                    f"{self.kind} = {locate(indexOf(block(), pc))}")
+                    f"|{self.N - 2 * pc}| > bound {self.bound} at {self.kind} = {first(pc)}")
         self.popcounts.update(counts)
         if self.N - 2 * lo > self.max:
             self.max = self.N - 2 * lo
-            self.witness = locate(indexOf(block(), lo))
+            self.witness = first(lo)
 
 
 def family_correlation(family: SequenceFamily, sampled: int | None = None,
@@ -175,7 +215,8 @@ def family_correlation(family: SequenceFamily, sampled: int | None = None,
     (subject to the budget gate); sampled=k probes k uniform (i, j, u)
     cross triples and still sweeps every autocorrelation.  Witnesses are
     the first maximiser in (i, u) and (i, j, u) order, or in draw order
-    when sampled.
+    when sampled.  The autocorrelations are checked against the bound row
+    by row, before any cross-correlation.
     """
     if sampled is not None and sampled < 1:
         raise ValidationError(f"sampled probe count {sampled} is below 1")
@@ -189,13 +230,11 @@ def family_correlation(family: SequenceFamily, sampled: int | None = None,
             "use sampled mode or raise ECSEQ_BUDGET_MS")
     auto = _Sweep(N, bound, "auto (i, u)")
     cross = _Sweep(N, bound, "cross (i, j, u)")
-    sweeps = _auto_sweeps(bits, N, N if exhaustive else N // 2 + 1)
-    for i, (rots, pcs) in enumerate(sweeps):
-        auto.fold(lambda: pcs, lambda k: (i, k + 1))
-        if exhaustive:
-            cross.fold(lambda: _popcounts(rots, bits[i + 1:]),
-                       lambda k: (i, i + 1 + k // N, k % N))
-    if mode == "sampled":
+    for i, pcs in enumerate(_auto_sweeps(bits, N)):
+        auto.fold(Counter(pcs), lambda pc: (i, pcs.index(pc) + 1))
+    if exhaustive:
+        cross.fold(*_cross_transform(bits, N))
+    elif mode == "sampled":
         rng = random.Random(seed)
         for start in range(0, sampled, _SAMPLE_BLOCK):
             draws = []
@@ -205,11 +244,8 @@ def family_correlation(family: SequenceFamily, sampled: int | None = None,
                 draws.append((i, j + (j >= i), rng.randrange(N)))
             pcs = [(bits[i] ^ rotate(bits[j], u, N)).bit_count()
                    for i, j, u in draws]
-            cross.fold(lambda: pcs, draws.__getitem__)
-    # C_u(s_i, s_j) = C_{N-u}(s_j, s_i): the exhaustive sweep visits i < j
-    # only, so each of its values also stands for the mirrored pair
-    weight = 2 if exhaustive else 1
-    hist = {N - 2 * pc: auto.popcounts[pc] + weight * cross.popcounts[pc]
+            cross.fold(Counter(pcs), lambda pc: draws[pcs.index(pc)])
+    hist = {N - 2 * pc: auto.popcounts[pc] + cross.popcounts[pc]
             for pc in auto.popcounts.keys() | cross.popcounts.keys()}
     max_cross = cross.max if M > 1 else None
     cor = auto.max if max_cross is None else max(auto.max, max_cross)
@@ -285,5 +321,4 @@ def counting_identity_check(family: SequenceFamily) -> bool:
     implies |A_u| <= the family bound.  Exhaustive; family_correlation
     reports the same verdict as identities_ok.
     """
-    sweeps = _auto_sweeps(family.bits, family.N, family.N // 2 + 1)
-    return _serre_holds(family, chain.from_iterable(pcs for _, pcs in sweeps))
+    return all(_serre_holds(family, pcs) for pcs in _auto_sweeps(family.bits, family.N))

@@ -78,6 +78,23 @@ def linear_map(images: list[int]) -> Callable[[int], int]:
     return lambda a: lo[a & low] ^ hi[a >> h]
 
 
+def walsh_hadamard(v: list[int]) -> None:
+    """In place, v[c] becomes sum_x v[x] * (-1)^popcount(c & x), len(v) = 2^k, for
+    any ints, packed lanes included.  Stage h pairs v[i] with v[i + h] by h
+    strided slices or len/2h contiguous ones, whichever is fewer."""
+    L = len(v)
+    for h in (1 << k for k in range(L.bit_length() - 1)):
+        step = 2 * h
+        if h <= L // step:
+            halves = [(slice(o, L, step), slice(o + h, L, step)) for o in range(h)]
+        else:
+            halves = [(slice(i, i + h), slice(i + h, i + step)) for i in range(0, L, step)]
+        for a, b in halves:
+            lo, hi = v[a], v[b]
+            v[a] = map(add, lo, hi)
+            v[b] = map(sub, lo, hi)
+
+
 def factorize(m: int) -> dict[int, int]:
     """Prime factorization by trial division (desk-scale inputs only)."""
     f: dict[int, int] = {}
@@ -278,16 +295,11 @@ class FieldContext:
         Tr(c*x) is the parity of L(c) & x (bit i of L(c) is Tr(c*2^i)), so
         cnt[c] = (q + F[L(c)]) / 2 with F the Walsh-Hadamard transform of (-1)^f.
         """
-        q = self.q
         v = [1 - 2 * b for b in f]
-        for h in (1 << k for k in range(self.n)):  # butterflies of span h
-            for i in range(0, q, 2 * h):
-                lo, hi = v[i:i + h], v[i + h:i + 2 * h]
-                v[i:i + h] = map(add, lo, hi)
-                v[i + h:i + 2 * h] = map(sub, lo, hi)
+        walsh_hadamard(v)
         masks = span([sum(self.trace(self.mul(1 << j, 1 << i)) << i for i in range(self.n))
                       for j in range(self.n)])  # masks[c] = L(c), by linearity from L(2^j)
-        return [(q + v[m]) >> 1 for m in masks]
+        return [(self.q + v[m]) >> 1 for m in masks]
 
     # -- char-2 quadratics ---------------------------------------------
 

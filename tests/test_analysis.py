@@ -14,7 +14,7 @@ from ecseq.analysis import (BoundViolationError, corr_bound,
                             lc_bound_ceil, lc_bound_check,
                             linear_complexity_cyclic, rotate)
 from ecseq.family import SequenceFamily
-from ecseq.gf2 import ValidationError
+from ecseq.gf2 import ValidationError, span
 from oracles import brute_lc, corr, serre_failures
 
 
@@ -40,7 +40,7 @@ def test_correlation_matches_naive_and_parity(args):
 
 @given(bits_and_delay())
 def test_cross_symmetry(args):
-    # C_u(a, b) = C_{N-u}(b, a): the exhaustive sweep visits i < j only
+    # C_u(a, b) = C_{N-u}(b, a): the exhaustive sweep reads u <= N/2 only
     N, a, b, u = args
     assert (a ^ rotate(b, u, N)).bit_count() == (b ^ rotate(a, N - u, N)).bit_count()
 
@@ -123,6 +123,29 @@ def test_family_correlation_kernel_matches_naive_loop(n, t, d):
     assert hist[max_auto] > 2 and hist[max_cross] > 2
 
 
+@st.composite
+def row_families(draw):
+    # rows drawn as XORs of a pool of up to 7 vectors: zero rows, duplicates
+    # and rank-deficient families arise along with full-rank ones
+    N = draw(st.integers(2, 48))
+    pool = draw(st.lists(st.integers(0, (1 << N) - 1), min_size=1, max_size=7))
+    picks = draw(st.lists(st.integers(0, (1 << len(pool)) - 1), min_size=1, max_size=7))
+    rows = [span(pool)[m] for m in picks]
+    return SequenceFamily(n=12, t=0, d=3, N=N, M=len(rows), bits=rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_families())
+def test_exhaustive_report_matches_naive_loop_on_any_rows(fam):
+    # n=12, d=3 gives bound 896 >= N, so no row ever violates it
+    hist, max_auto, auto_wit, max_cross, cross_wit = naive_report(fam)
+    rep = family_correlation(fam)
+    assert rep.histogram == hist
+    assert (rep.max_auto, rep.auto_witness) == (max_auto, auto_wit)
+    assert (rep.max_cross, rep.cross_witness) == ((max_cross, cross_wit) if fam.M > 1
+                                                  else (None, None))
+
+
 @pytest.mark.parametrize("N", [2, 3, 4, 7, 8, 63, 64, 100, 101])
 def test_autocorrelation_half_sweep_matches_full_sweep(N):
     # n=12, d=3 gives bound 896 >= N, so random rows never violate it
@@ -166,6 +189,17 @@ def test_negative_correlation_violation_raises():
     assert bound < N
     assert max(corr(s, fake.bits[1], u, N) for u in range(N)) <= bound
     with pytest.raises(BoundViolationError, match=r"cross \(i, j, u\) = \(0, 1, 0\)"):
+        family_correlation(fake)
+
+
+def test_autocorrelations_are_checked_before_cross_correlations():
+    # rows s, ~s and 0101...: the pair (0, 1) is over the bound at u = 0, but
+    # every autocorrelation is checked first, so row 2's violation is named
+    fam = cached_family(7, 16, 2)
+    N, s = fam.N, fam.bits[0]
+    alt = int("01" * N, 2) & ((1 << N) - 1)
+    fake = SequenceFamily(n=7, t=16, d=2, N=N, M=3, bits=[s, ~s & ((1 << N) - 1), alt])
+    with pytest.raises(BoundViolationError, match=r"auto \(i, u\) = \(2, "):
         family_correlation(fake)
 
 

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and end-to-end determinism."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from conftest import cached_family, serre_breaking_family
-from ecseq import cli, family
+from ecseq import analysis, cli, family
+from ecseq.analysis import exhaustive_allowed
 from ecseq.cli import main
 from ecseq.family import write_family
 from ecseq.gf2 import MAX_DEGREE, MIN_DEGREE
@@ -270,7 +272,7 @@ def test_reproduce_table2_small(tmp_path):
 
 
 def test_exhaustive_over_default_budget(tmp_path, capsys, monkeypatch):
-    # d=3 q=64: ~537 M pair-shifts, estimated ~150 s, over the default budget
+    # d=3 q=64: ~553 M lane operations, estimated ~158 s, over the default budget
     monkeypatch.delenv("ECSEQ_BUDGET_MS", raising=False)
     fam = tmp_path / "fam.ecseq"
     write_family(cached_family(6, -1, 3), fam)
@@ -283,6 +285,25 @@ def test_exhaustive_over_default_budget(tmp_path, capsys, monkeypatch):
     row = json.loads(out.read_text())["rows"][0]
     assert (row["q"], row["mode"]) == (512, "sampled")
     assert row["observed_cor"] <= row["bound"]
+
+
+def test_forged_full_rank_family_over_budget(tmp_path, capsys, monkeypatch):
+    # random rows span 2^63 buckets where the generated (6, 8, 2) rows span
+    # 2^6: analyze exits 2 on the gate's estimate before the cross sweep
+    # starts, and --sampled still analyses the file
+    monkeypatch.delenv("ECSEQ_BUDGET_MS", raising=False)
+    real = cached_family(6, 8, 2)
+    rng = random.Random(6)
+    fake = dataclasses.replace(real, bits=[rng.randrange(1 << real.N) for _ in range(real.M)])
+    assert exhaustive_allowed(real) and not exhaustive_allowed(fake)
+    forged = tmp_path / "forged.ecseq"
+    write_family(fake, forged)
+    monkeypatch.setattr(analysis, "_cross_transform", None)
+    assert run(["analyze", forged]) == 2
+    assert "exceeds the budget" in capsys.readouterr().err
+    out = tmp_path / "report.json"
+    assert run(["analyze", forged, "--sampled", 1000, "--out", out]) == 0
+    assert json.loads(out.read_text())["correlation"]["mode"] == "sampled"
 
 
 def test_reproduce_table3_small(tmp_path):

@@ -11,7 +11,7 @@ from ecseq.gf2 import (MAX_DEGREE, MAX_EXT_DEGREE, MIN_DEGREE, FieldContext,
                        GF2Solver, ValidationError, clmul, elem_to_hex,
                        factorize, is_irreducible, linear_map, make_ext,
                        make_field, poly_gcd, poly_mod, smallest_irreducible,
-                       span)
+                       span, walsh_hadamard)
 
 
 # -- GF(2)[x] helpers against naive oracles -------------------------------
@@ -151,6 +151,27 @@ def test_trace_agreements_matches_direct_count(n):
         want = [sum(bits[x] == f.trace(f.mul(c, x)) for x in f.elements())
                 for c in f.elements()]
         assert f.trace_agreements(bits) == want
+
+
+def naive_walsh_hadamard(v: list[int]) -> list[int]:
+    return [sum(x if (c & k).bit_count() % 2 == 0 else -x for k, x in enumerate(v))
+            for c in range(len(v))]
+
+
+@pytest.mark.parametrize("L", [1 << k for k in range(9)])
+def test_walsh_hadamard_matches_naive_sum(L):
+    # signed entries, and ints packing 16-bit lanes: the transform is linear,
+    # so a packed vector transforms to its lanes' transforms, packed
+    rng = random.Random(L)
+    lanes = [[rng.randrange(-300, 300) for _ in range(L)] for _ in range(5)]
+    for v in lanes[:2]:
+        got = list(v)
+        walsh_hadamard(got)
+        assert got == naive_walsh_hadamard(v)
+    packed = [sum(lane[x] << 16 * k for k, lane in enumerate(lanes)) for x in range(L)]
+    walsh_hadamard(packed)
+    assert packed == [sum(w << 16 * k for k, w in enumerate(col))
+                      for col in zip(*map(naive_walsh_hadamard, lanes))]
 
 
 # -- quadratic solver ---------------------------------------------------------
