@@ -5,7 +5,7 @@ from .analysis import (BoundViolationError, CorrelationReport,
                        LinearComplexityReport, corr_bound,
                        counting_identity_check, family_correlation,
                        family_linear_complexity, lc_bound_ceil,
-                       lc_bound_check, linear_complexity_cyclic, rotate)
+                       lc_bound_check, linear_complexity_cyclic)
 from .curves import (Curve, CurveSearchSpec, Point, admissible_t,
                      ordered_points, search_cyclic_curve)
 from .family import (FormatError, SequenceFamily, build_instance, gen_family,

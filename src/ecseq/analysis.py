@@ -7,9 +7,11 @@ basis_k and col_j the basis bits at position j, C_u(s_i, s_b) is the
 Walsh-Hadamard transform at c_b of the buckets P[col_{j+u}] += (-1)^s_i(j).
 With one 16-bit lane per row i, one transform over 2^rank buckets gives
 every ordered pair at a delay u <= N/2, and C_u(a, b) = C_{N-u}(b, a) gives
-the rest.  The cyclic linear complexity of s is N - deg gcd(S(x), x^N + 1)
-over GF(2): the connection polynomial (x^N + 1) / gcd has that degree and
-annihilates every cyclic shift.
+the rest.  Sampled mode replays random.Random(seed).randrange's draws from
+getrandbits and reads each probe's rotation as a window of b|b<<N.  The
+cyclic linear complexity of s is N - deg gcd(S(x), x^N + 1) over GF(2): the
+connection polynomial (x^N + 1) / gcd has that degree and annihilates every
+cyclic shift.
 """
 
 from __future__ import annotations
@@ -34,12 +36,6 @@ _DIAGONAL = 0xFFFF  # marks i = b in the cross sweep's 16-bit lanes, which need 
 
 class BoundViolationError(AssertionError):
     """An asserted correlation or linear-complexity bound failed."""
-
-
-def rotate(v: int, u: int, N: int) -> int:
-    """Cyclic right rotation: bit j of the result is bit (j+u) mod N of v."""
-    u %= N
-    return (v >> u) | ((v & ((1 << u) - 1)) << (N - u))
 
 
 def corr_bound(q: int, t: int, d: int) -> int:
@@ -235,15 +231,18 @@ def family_correlation(family: SequenceFamily, sampled: int | None = None,
     if exhaustive:
         cross.fold(*_cross_transform(bits, N))
     elif mode == "sampled":
-        rng = random.Random(seed)
+        # Random(seed).randrange(n), inlined: draw n.bit_length() bits until below n
+        draw, mask = random.Random(seed).getrandbits, (1 << N) - 1
+        kM, kJ, kN = M.bit_length(), (M - 1).bit_length(), N.bit_length()
+        twice = [a | a << N for a in bits]  # row j rotated by u: twice[j] >> u & mask
         for start in range(0, sampled, _SAMPLE_BLOCK):
             draws = []
             for _ in range(min(_SAMPLE_BLOCK, sampled - start)):
-                i = rng.randrange(M)
-                j = rng.randrange(M - 1)
-                draws.append((i, j + (j >= i), rng.randrange(N)))
-            pcs = [(bits[i] ^ rotate(bits[j], u, N)).bit_count()
-                   for i, j, u in draws]
+                while (i := draw(kM)) >= M: pass
+                while (j := draw(kJ)) >= M - 1: pass
+                while (u := draw(kN)) >= N: pass
+                draws.append((i, j + (j >= i), u))
+            pcs = [(bits[i] ^ twice[j] >> u & mask).bit_count() for i, j, u in draws]
             cross.fold(Counter(pcs), lambda pc: draws[pcs.index(pc)])
     hist = {N - 2 * pc: auto.popcounts[pc] + cross.popcounts[pc]
             for pc in auto.popcounts.keys() | cross.popcounts.keys()}

@@ -124,9 +124,14 @@ def write_family(family: SequenceFamily, path) -> None:
 
 
 def read_family(path) -> SequenceFamily:
+    with open(path, "rb") as fh:
+        return parse_family(fh.read())
+
+
+def parse_family(data: bytes) -> SequenceFamily:
+    """The family in the bytes of an ECSEQ v1 file; FormatError if malformed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise FormatError(f"not UTF-8 text: {exc}") from exc
     if not lines or not lines[0].startswith("ECSEQ v1 "):

@@ -6,6 +6,8 @@ over all of GF(q)^2, and orbits from a point-by-point Frobenius walk.
 """
 
 import math
+import random
+from collections import Counter
 from operator import xor
 
 from ecseq.curves import INFINITY, Point, _sort_key, ordered_points
@@ -21,6 +23,33 @@ def _rot(b: int, u: int, N: int) -> int:
 def corr(a: int, b: int, u: int, N: int) -> int:
     """C_u(a, b) = sum_j (-1)^(a_j + b_{j+u}), for 0 <= u < N."""
     return N - 2 * (a ^ _rot(b, u, N)).bit_count()
+
+
+def rotate(v: int, u: int, N: int) -> int:
+    """Cyclic right rotation: bit j of the result is bit (j+u) mod N of v."""
+    u %= N
+    return (v >> u) | ((v & ((1 << u) - 1)) << (N - u))
+
+
+def sampled_report(fam, k: int, seed: int) -> dict:
+    """What sampled family_correlation reports, from random.Random(seed):
+    every autocorrelation, then k cross probes (i, j + (j >= i), u) with
+    i = randrange(M), j = randrange(M - 1), u = randrange(N) drawn in that
+    order; the witness is the first maximiser in draw order."""
+    N, M, bits = fam.N, fam.M, fam.bits
+    hist = Counter(corr(s, s, u, N) for s in bits for u in range(1, N))
+    rng = random.Random(seed)
+    max_cross, witness = -N - 1, None
+    for _ in range(k):
+        i = rng.randrange(M)
+        j = rng.randrange(M - 1)
+        probe = (i, j + (j >= i), rng.randrange(N))
+        c = corr(bits[i], bits[probe[1]], probe[2], N)
+        hist[c] += 1
+        if c > max_cross:
+            max_cross, witness = c, probe
+    return {"histogram": dict(hist), "max_cross": max_cross, "cross_witness": witness,
+            "samples": k, "seed": seed}
 
 
 def serre_failures(fam) -> list[tuple[int, int]]:

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cached_family, serre_breaking_family
@@ -12,10 +12,10 @@ from ecseq.analysis import (BoundViolationError, corr_bound,
                             counting_identity_check, exhaustive_allowed,
                             family_correlation, family_linear_complexity,
                             lc_bound_ceil, lc_bound_check,
-                            linear_complexity_cyclic, rotate)
+                            linear_complexity_cyclic)
 from ecseq.family import SequenceFamily
 from ecseq.gf2 import ValidationError, span
-from oracles import brute_lc, corr, serre_failures
+from oracles import brute_lc, corr, rotate, sampled_report, serre_failures
 
 
 def bits_and_delay(max_n=64):
@@ -201,6 +201,28 @@ def test_autocorrelations_are_checked_before_cross_correlations():
     fake = SequenceFamily(n=7, t=16, d=2, N=N, M=3, bits=[s, ~s & ((1 << N) - 1), alt])
     with pytest.raises(BoundViolationError, match=r"auto \(i, u\) = \(2, "):
         family_correlation(fake)
+
+
+@st.composite
+def sampled_families(draw):
+    # M = 2 draws randrange(1), which still takes a bit; M = 2^k and N = 2^k
+    # are where n.bit_length() and (n - 1).bit_length() part
+    M = draw(st.sampled_from([2, 3, 4, 5, 8, 9, 16, 17]))
+    N = draw(st.integers(2, 70) | st.just(64))
+    rows = draw(st.lists(st.integers(0, (1 << N) - 1), min_size=M, max_size=M))
+    return SequenceFamily(n=12, t=0, d=3, N=N, M=M, bits=rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampled_families(), st.integers(1, 300), st.integers(0, 2**64))
+@example(SequenceFamily(n=12, t=0, d=3, N=64, M=16,  # draws cross two probe blocks
+                        bits=[random.Random(r).getrandbits(64) for r in range(16)]),
+         2 * 4096 + 1, 7)
+def test_sampled_probes_replay_randrange(fam, k, seed):
+    # n=12, d=3 gives bound 896 >= N, so no row ever violates it
+    want = sampled_report(fam, k, seed)
+    rep = family_correlation(fam, sampled=k, seed=seed)
+    assert {key: getattr(rep, key) for key in want} == want
 
 
 def test_sampled_mode_is_lower_estimate():

@@ -1,6 +1,8 @@
 """CLI subcommands, exit codes, and end-to-end determinism."""
 
+import builtins
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
@@ -76,6 +78,30 @@ def test_generate_analyze_roundtrip(tmp_path):
     assert bundle["linear_complexity"]["lc_min"] >= 1
     assert bundle["counting_identities_ok"] is True
     assert len(bundle["family_sha256"]) == 64
+
+
+def test_analyze_digest_names_the_bytes_it_parsed(tmp_path, monkeypatch):
+    # another writer swaps the file for a different family as soon as analyze
+    # opens it: the digest and the report must both come from the first bytes
+    fam, other, rep = tmp_path / "fam.ecseq", tmp_path / "other.ecseq", tmp_path / "rep.json"
+    write_family(cached_family(3, 4, 2), fam)
+    write_family(cached_family(4, 4, 2), other)
+    first = fam.read_bytes()
+    real_open = builtins.open
+
+    def open_then_swap(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        if file == str(fam) and other.exists():
+            os.replace(other, fam)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", open_then_swap)
+    assert run(["analyze", fam, "--out", rep]) == 0
+    monkeypatch.undo()
+    assert fam.read_bytes() != first  # the swap happened
+    bundle = json.loads(rep.read_text())
+    assert bundle["family_sha256"] == hashlib.sha256(first).hexdigest()
+    assert bundle["config"]["n"] == 3
 
 
 def test_analyze_exits_3_on_counting_identity_failure(tmp_path):
