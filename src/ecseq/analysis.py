@@ -1,17 +1,16 @@
 """Correlation and cyclic linear-complexity analysis of a sequence family.
 
 Sequences are ints with bit j = s_j, and C_u(a, b) = N - 2*popcount(a XOR
-rot(b, u)).  Autocorrelations are swept word-packed, row by row.  The
-exhaustive cross sweep uses the rows' GF(2) span: with s_b = sum_k c_b[k] *
-basis_k and col_j the basis bits at position j, C_u(s_i, s_b) is the
-Walsh-Hadamard transform at c_b of the buckets P[col_{j+u}] += (-1)^s_i(j).
-With one 16-bit lane per row i, one transform over 2^rank buckets gives
-every ordered pair at a delay u <= N/2, and C_u(a, b) = C_{N-u}(b, a) gives
-the rest.  Sampled mode replays random.Random(seed).randrange's draws from
-getrandbits and reads each probe's rotation as a window of b|b<<N.  The
-cyclic linear complexity of s is N - deg gcd(S(x), x^N + 1) over GF(2): the
-connection polynomial (x^N + 1) / gcd has that degree and annihilates every
-cyclic shift.
+rot(b, u)).  Exhaustive sweeps take one pass per delay u <= N/2 over the rows'
+GF(2) span.  s -> s XOR rot(s, u) is linear, so a family spanned by m bit
+planes has every row's autocorrelation at u in the span of m deltas.  For the
+cross sweep, with s_b = sum_k c_b[k] * basis_k and col_j the basis bits at
+position j, C_u(s_i, s_b) is the Walsh-Hadamard transform at c_b of the
+buckets P[col_{j+u}] += (-1)^s_i(j), one 16-bit lane per row i, and
+C_u(a, b) = C_{N-u}(b, a) gives u > N/2.  Sampled mode replays
+random.Random(seed).randrange's draws from getrandbits and reads each probe's
+rotation as a window of b|b<<N.  Cyclic linear complexity, N - deg gcd(S(x),
+x^N + 1), takes Games-Chan's log2 N halvings at N = 2^k, a gcd otherwise.
 """
 
 from __future__ import annotations
@@ -105,14 +104,26 @@ def exhaustive_allowed(family: SequenceFamily) -> bool:
             and per_bucket << len(GF2Solver(family.bits).pivots) <= budget)
 
 
-def _auto_sweeps(bits: list[int], N: int) -> Iterator[list[int]]:
-    """popcount(a ^ rotate(a, u, N)) for u = 1..N-1, per row a.  A_u(a) =
-    A_{N-u}(a), so only u <= N/2 is swept, on windows of a|a<<N, then mirrored."""
+def _auto_transform(bits: list[int], N: int) -> tuple[Counter, Callable[[set], tuple]]:
+    """Counts of popcount(s_i ^ rotate(s_i, u)) over every (i, u), 0 < u < N, and
+    first(pcs): the lexicographically first (i, u) whose popcount is in pcs.
+    Rows that are span(planes)[1:], planes = bits[2^k - 1], take their values at
+    u from the span of the planes' deltas; other rows are their own generators.
+    A_u = A_{N-u}: u <= N/2 is swept, on windows of g|g<<N, counted twice if 2u != N."""
     mask = (1 << N) - 1
-    for a in bits:
-        rots = map(mask.__and__, map((a | a << N).__rshift__, range(N - 1, (N - 1) // 2, -1)))
-        half = list(map(int.bit_count, map(a.__xor__, rots)))
-        yield half + half[:(N - 1) // 2][::-1]
+    planes = [bits[(1 << k) - 1] for k in range(len(bits).bit_length())]
+    gens, expand = (planes, lambda v: span(v)[1:]) if span(planes)[1:] == bits else (bits, list)
+
+    def values(u: int) -> Iterator[int]:
+        return map(int.bit_count, expand([g ^ (g | g << N) >> u & mask for g in gens]))
+    per_u, total = [], Counter()
+    for u in range(1, N // 2 + 1):
+        counts = Counter(values(u))
+        per_u.append(array("I", counts))  # the keys, without holding the Counter
+        total.update(counts + counts if 2 * u != N else counts)
+    return total, lambda pcs: min(
+        (next(i for i, pc in enumerate(values(u)) if pc in pcs), u)
+        for u, keys in enumerate(per_u, 1) if not pcs.isdisjoint(keys))
 
 
 def _cross_transform(bits: list[int], N: int) -> tuple[Counter, Callable[[int], tuple]]:
@@ -151,7 +162,7 @@ def _cross_transform(bits: list[int], N: int) -> tuple[Counter, Callable[[int], 
     for u in range(N // 2 + 1):
         counts = Counter(lanes(u))
         del counts[_DIAGONAL]
-        per_u.append(counts.keys())
+        per_u.append(array("I", counts))  # the keys, without holding the Counter
         total.update(counts + counts if 2 * u % N else counts)
 
     def first(pc: int) -> tuple[int, int, int]:
@@ -226,8 +237,12 @@ def family_correlation(family: SequenceFamily, sampled: int | None = None,
             "use sampled mode or raise ECSEQ_BUDGET_MS")
     auto = _Sweep(N, bound, "auto (i, u)")
     cross = _Sweep(N, bound, "cross (i, j, u)")
-    for i, pcs in enumerate(_auto_sweeps(bits, N)):
-        auto.fold(Counter(pcs), lambda pc: (i, pcs.index(pc) + 1))
+    counts, first = _auto_transform(bits, N)
+    if bad := {pc for pc in counts if abs(N - 2 * pc) > bound}:
+        i = first(bad)[0]  # the first row out of bound raises on its own extremes
+        row, row_first = _auto_transform([bits[i]], N)
+        auto.fold(row, lambda pc: (i, row_first({pc})[1]))
+    auto.fold(counts, lambda pc: first({pc}))
     if exhaustive:
         cross.fold(*_cross_transform(bits, N))
     elif mode == "sampled":
@@ -262,10 +277,17 @@ def family_correlation(family: SequenceFamily, sampled: int | None = None,
 
 def linear_complexity_cyclic(s: int, N: int) -> int:
     """Smallest ell with a length-ell recurrence killing all cyclic shifts:
-    N - deg gcd(S(x), x^N + 1)."""
+    N - deg gcd(S(x), x^N + 1).  At N = 2^k, Games-Chan: a period whose halves
+    L, R differ has complexity N/2 + that of L ^ R, else that of L."""
     if s == 0:
         raise ValidationError("zero sequence has no linear complexity")
-    return N + 1 - poly_gcd(s, (1 << N) | 1).bit_length()
+    if N & N - 1:
+        return N + 1 - poly_gcd(s, (1 << N) | 1).bit_length()
+    lc = 0
+    for h in (N >> k for k in range(1, N.bit_length())):
+        low, high = s & (1 << h) - 1, s >> h
+        lc, s = (lc + h, low ^ high) if low != high else (lc, low)
+    return lc + s
 
 
 def lc_bound_check(lc_min: int, q: int, t: int, d: int) -> bool:
@@ -320,4 +342,4 @@ def counting_identity_check(family: SequenceFamily) -> bool:
     implies |A_u| <= the family bound.  Exhaustive; family_correlation
     reports the same verdict as identities_ok.
     """
-    return all(_serre_holds(family, pcs) for pcs in _auto_sweeps(family.bits, family.N))
+    return _serre_holds(family, _auto_transform(family.bits, family.N)[0])

@@ -56,9 +56,7 @@ def cmd_generate(args) -> int:
     curve, P, ext, place, space = build_instance(n, t, d)
     fam = gen_family(curve, P, space, ext)
     out = args.out or f"ecseq_n{n}_t{t}_d{d}.ecseq"
-    write_family(fam, out)
-    with open(out, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+    digest = hashlib.sha256(write_family(fam, out)).hexdigest()
     cv = fam.provenance["curve"]
     coeffs = ",".join(cv[k] for k in ("a1", "a2", "a3", "a4", "a6"))
     print(f"wrote {out}: N={fam.N} M={fam.M} curve=[{coeffs}] "

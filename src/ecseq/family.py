@@ -113,14 +113,19 @@ def _unpack_row(data: bytes, N: int) -> int:
     return int(bits[N - 1::-1], 2)
 
 
-def write_family(family: SequenceFamily, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"ECSEQ v1 n={family.n} t={family.t} d={family.d} "
-                 f"N={family.N} M={family.M}\n")
-        fh.write(json.dumps(family.provenance, sort_keys=True,
-                            separators=(",", ":")) + "\n")
-        for row in family.bits:
-            fh.write(_pack_row(row, family.N).hex() + "\n")
+def format_family(family: SequenceFamily) -> bytes:
+    """The ECSEQ v1 file: header, provenance, then one hex row per line."""
+    return "".join(ln + "\n" for ln in [
+        f"ECSEQ v1 n={family.n} t={family.t} d={family.d} N={family.N} M={family.M}",
+        json.dumps(family.provenance, sort_keys=True, separators=(",", ":")),
+        *(_pack_row(row, family.N).hex() for row in family.bits)]).encode()
+
+
+def write_family(family: SequenceFamily, path) -> bytes:
+    """Writes format_family(family) to path and returns those bytes."""
+    with open(path, "wb") as fh:
+        fh.write(data := format_family(family))
+    return data
 
 
 def read_family(path) -> SequenceFamily:

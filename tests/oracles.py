@@ -15,20 +15,30 @@ from ecseq.places import frobenius_orbit
 from ecseq.rrspace import CurveFunction, eval_function
 
 
-def _rot(b: int, u: int, N: int) -> int:
-    """Bit j is bit (j+u) mod N of b, for 0 <= u < N."""
+def rotate(b: int, u: int, N: int) -> int:
+    """Cyclic right rotation: bit j is bit (j+u) mod N of b, for 0 <= u <= N."""
     return ((b >> u) | (b << N - u)) & ((1 << N) - 1)
 
 
 def corr(a: int, b: int, u: int, N: int) -> int:
     """C_u(a, b) = sum_j (-1)^(a_j + b_{j+u}), for 0 <= u < N."""
-    return N - 2 * (a ^ _rot(b, u, N)).bit_count()
+    return N - 2 * (a ^ rotate(b, u, N)).bit_count()
 
 
-def rotate(v: int, u: int, N: int) -> int:
-    """Cyclic right rotation: bit j of the result is bit (j+u) mod N of v."""
-    u %= N
-    return (v >> u) | ((v & ((1 << u) - 1)) << (N - u))
+def auto_report(fam, bound: int):
+    """Row by row, the first row whose largest autocorrelation, or else its
+    smallest, is out of bound gives the message naming it at its first u;
+    with none, (max_auto, auto_witness), the first maximiser in (i, u) order."""
+    N = fam.N
+    max_auto, witness = -N - 1, None
+    for i, s in enumerate(fam.bits):
+        cs = [corr(s, s, u, N) for u in range(1, N)]
+        for c in (max(cs), min(cs)):
+            if abs(c) > bound:
+                return f"|{c}| > bound {bound} at auto (i, u) = ({i}, {1 + cs.index(c)})"
+        if max(cs) > max_auto:
+            max_auto, witness = max(cs), (i, 1 + cs.index(max(cs)))
+    return max_auto, witness
 
 
 def sampled_report(fam, k: int, seed: int) -> dict:
@@ -59,7 +69,7 @@ def serre_failures(fam) -> list[tuple[int, int]]:
     N, q = fam.N, 1 << fam.n
     serre = (2 * fam.d + 1) * math.isqrt(4 * q)
     return [(i, u) for i, s in enumerate(fam.bits) for u in range(1, N)
-            if abs(2 * (N - (s ^ _rot(s, u, N)).bit_count()) - q - 1) > serre]
+            if abs(2 * (N - (s ^ rotate(s, u, N)).bit_count()) - q - 1) > serre]
 
 
 def brute_lc(s: int, N: int) -> int:
@@ -72,7 +82,7 @@ def brute_lc(s: int, N: int) -> int:
             for i in range(ell + 1):
                 if (lam >> i) & 1:
                     rec ^= 1 << (ell - i) % N
-            if all(((rec & _rot(s, u, N)).bit_count() & 1) == 0
+            if all(((rec & rotate(s, u, N)).bit_count() & 1) == 0
                    for u in range(N)):
                 return ell
     return N

@@ -1,6 +1,7 @@
 """Correlation sweeps, cyclic linear complexity, and bound checks."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -14,8 +15,8 @@ from ecseq.analysis import (BoundViolationError, corr_bound,
                             lc_bound_ceil, lc_bound_check,
                             linear_complexity_cyclic)
 from ecseq.family import SequenceFamily
-from ecseq.gf2 import ValidationError, span
-from oracles import brute_lc, corr, rotate, sampled_report, serre_failures
+from ecseq.gf2 import ValidationError, poly_gcd, span
+from oracles import auto_report, brute_lc, corr, rotate, sampled_report, serre_failures
 
 
 def bits_and_delay(max_n=64):
@@ -28,7 +29,7 @@ def bits_and_delay(max_n=64):
 
 @given(bits_and_delay())
 def test_correlation_matches_naive_and_parity(args):
-    # the kernel's rotate, bit by bit, and its correlation against the oracle
+    # the oracles' rotate, bit by bit, and the correlation it gives
     N, a, b, u = args
     r = rotate(b, u, N)
     assert all((r >> j) & 1 == (b >> (j + u) % N) & 1 for j in range(N))
@@ -179,6 +180,45 @@ def test_autocorrelation_violation_location(N):
         family_correlation(fake)
 
 
+def test_auto_violation_names_the_first_rows_own_extreme():
+    # row 0 is the first row out of the q=4 bound 21, with A_u = 28 at u = 20
+    # and -28 at u = 13; the family's largest |A_u| is row 1's 32 at u = 22
+    fam = SequenceFamily(n=2, t=1, d=2, N=44, M=7,
+                         bits=span([5623472543041, 6205872714699, 12436545372515])[1:])
+    assert max(corr(fam.bits[1], fam.bits[1], u, 44) for u in range(1, 44)) == 32
+    for sampled in (None, 1):
+        with pytest.raises(BoundViolationError,
+                           match=re.escape("|28| > bound 21 at auto (i, u) = (0, 20)") + "$"):
+            family_correlation(fam, sampled=sampled)
+
+
+@st.composite
+def span_families(draw):
+    # rows as gen_family writes them, span(planes)[1:], so the autocorrelation
+    # sweep runs over the planes' deltas; q=4 bound 21, so N > 21 may violate
+    N = draw(st.integers(2, 48))
+    planes = draw(st.lists(st.integers(0, (1 << N) - 1), min_size=1, max_size=4))
+    rows = span(planes)[1:]
+    return SequenceFamily(n=2, t=1, d=2, N=N, M=len(rows), bits=rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(span_families())
+def test_span_family_auto_report_matches_per_row_oracle(fam):
+    want = auto_report(fam, corr_bound(fam.q, fam.t, fam.d))
+    for sampled in (None, 1):
+        if isinstance(want, str):
+            with pytest.raises(BoundViolationError, match=re.escape(want) + "$"):
+                family_correlation(fam, sampled=sampled)
+            continue
+        try:
+            rep = family_correlation(fam, sampled=sampled)
+        except BoundViolationError as exc:  # every autocorrelation passed first
+            assert " at cross (i, j, u) = " in str(exc)
+        else:
+            assert (rep.max_auto, rep.auto_witness) == want
+
+
 def test_negative_correlation_violation_raises():
     fam = cached_family(7, 16, 2)
     N, s = fam.N, fam.bits[0]
@@ -276,7 +316,7 @@ def test_lc_matches_brute_force_on_family():
 
 def test_lc_matches_brute_force_random():
     rng = random.Random(11)
-    for N in (5, 8, 13, 15):
+    for N in (2, 4, 5, 8, 13, 15):
         for _ in range(25):
             s = rng.randrange(1, 1 << N)
             assert linear_complexity_cyclic(s, N) == brute_lc(s, N), (N, bin(s))
@@ -287,6 +327,24 @@ def test_lc_edge_cases():
     assert linear_complexity_cyclic(1, 13) == 13
     with pytest.raises(ValidationError):
         linear_complexity_cyclic(0, 13)
+
+
+def test_lc_games_chan_matches_gcd_formula():
+    # N = 2^k runs Games-Chan's halvings; multiples of (x + 1)^e reach every
+    # complexity below N, and the zero row is refused as at any other N
+    rng = random.Random(16)
+    for N in (1 << k for k in range(11)):
+        rows = [1, (1 << N) - 1] + [rng.randrange(1, 1 << N) for _ in range(20)]
+        for e in range(N):
+            s = rng.randrange(1, 1 << N - e)
+            for _ in range(e):
+                s ^= s << 1
+            rows.append(s)
+        for s in rows:
+            want = N + 1 - poly_gcd(s, 1 << N | 1).bit_length()
+            assert linear_complexity_cyclic(s, N) == want, (N, s)
+        with pytest.raises(ValidationError):
+            linear_complexity_cyclic(0, N)
 
 
 def test_lc_bound_exact_arithmetic():
@@ -309,6 +367,15 @@ def test_family_lc_report():
     assert rep.lc_min == min(rep.lc_per_sequence)
     assert len(rep.lc_per_sequence) == fam.M
     assert lc_bound_check(rep.lc_min, fam.q, fam.t, fam.d)
+
+
+def test_family_lc_zero_row_reported_as_zero():
+    # N = 64 = 2^6, the d3-q64 length; q=64, t=-1, d=3 asks for lc >= 0
+    s = random.Random(7).getrandbits(64)
+    fam = SequenceFamily(n=6, t=-1, d=3, N=64, M=2, bits=[0, s])
+    rep = family_linear_complexity(fam)
+    assert rep.lc_per_sequence == [0, linear_complexity_cyclic(s, 64)]
+    assert rep.lc_min == 0
 
 
 def test_family_lc_bound_violation_detected():

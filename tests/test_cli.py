@@ -118,6 +118,14 @@ def test_generate_is_deterministic(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+def test_generate_prints_the_digest_of_the_bytes_it_wrote(tmp_path, capsys):
+    fam = tmp_path / "fam.ecseq"
+    assert run(["generate", "--n", 3, "--t", 4, "--d", 2, "--out", fam]) == 0
+    data = fam.read_bytes()
+    assert data == family.format_family(cached_family(3, 4, 2))
+    assert capsys.readouterr().out.split()[-1] == f"sha256={hashlib.sha256(data).hexdigest()}"
+
+
 def test_analyze_is_deterministic_modulo_timings(tmp_path):
     fam = tmp_path / "fam.ecseq"
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
