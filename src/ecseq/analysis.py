@@ -9,8 +9,8 @@ position j, C_u(s_i, s_b) is the Walsh-Hadamard transform at c_b of the
 buckets P[col_{j+u}] += (-1)^s_i(j), one 16-bit lane per row i, and
 C_u(a, b) = C_{N-u}(b, a) gives u > N/2.  Sampled mode replays
 random.Random(seed).randrange's draws from getrandbits and reads each probe's
-rotation as a window of b|b<<N.  Cyclic linear complexity, N - deg gcd(S(x),
-x^N + 1), takes Games-Chan's log2 N halvings at N = 2^k, a gcd otherwise.
+rotation as a window of b|b<<N.  Cyclic linear complexity, N - deg gcd(S(x), x^N+1),
+takes Games-Chan's halvings at N = 2^k, else gcds mod gcd(x^N+1, the rows' product).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .family import SequenceFamily
-from .gf2 import GF2Solver, ValidationError, poly_gcd, span, walsh_hadamard
+from .gf2 import GF2Solver, ValidationError, clmul, poly_gcd, poly_mod, span, walsh_hadamard
 
 DEFAULT_BUDGET_MS = 10_000  # estimated exhaustive sweep time allowed without ECSEQ_BUDGET_MS
 _OPS_PER_MS = 3500  # exhaustive lane operations per ms, at or below the slowest measured
@@ -104,15 +104,21 @@ def exhaustive_allowed(family: SequenceFamily) -> bool:
             and per_bucket << len(GF2Solver(family.bits).pivots) <= budget)
 
 
+def _span_planes(bits: list[int]) -> list[int] | None:
+    """The planes bits[2^k - 1] if the rows are span(planes)[1:] (gen_family's), else None."""
+    planes = [bits[(1 << k) - 1] for k in range(len(bits).bit_length())]
+    return planes if span(planes)[1:] == bits else None
+
+
 def _auto_transform(bits: list[int], N: int) -> tuple[Counter, Callable[[set], tuple]]:
     """Counts of popcount(s_i ^ rotate(s_i, u)) over every (i, u), 0 < u < N, and
     first(pcs): the lexicographically first (i, u) whose popcount is in pcs.
-    Rows that are span(planes)[1:], planes = bits[2^k - 1], take their values at
-    u from the span of the planes' deltas; other rows are their own generators.
+    Rows that are the span of their planes take their values at u from the span
+    of the planes' deltas; other rows are their own generators.
     A_u = A_{N-u}: u <= N/2 is swept, on windows of g|g<<N, counted twice if 2u != N."""
     mask = (1 << N) - 1
-    planes = [bits[(1 << k) - 1] for k in range(len(bits).bit_length())]
-    gens, expand = (planes, lambda v: span(v)[1:]) if span(planes)[1:] == bits else (bits, list)
+    planes = _span_planes(bits)
+    gens, expand = (planes, lambda v: span(v)[1:]) if planes is not None else (bits, list)
 
     def values(u: int) -> Iterator[int]:
         return map(int.bit_count, expand([g ^ (g | g << N) >> u & mask for g in gens]))
@@ -314,13 +320,27 @@ def lc_bound_ceil(q: int, t: int, d: int) -> int:
 def family_linear_complexity(family: SequenceFamily) -> LinearComplexityReport:
     """Per-row cyclic linear complexity; asserts the family lower bound.
 
-    All-zero rows (which occur only at degenerate tiny lengths) are
-    reported as complexity 0 and still held to the exact bound.
+    At N = 2^k each row runs Games-Chan.  Otherwise gcd(s, x^N + 1) divides G =
+    gcd(x^N + 1, product of the rows), so it is gcd(G, s mod G).  For a span of
+    planes the product is that of beta = L(p) over the planes p in order, L the
+    subspace polynomial of the planes before p, and the residues are the span of
+    the planes'; other rows take G = x^N + 1.  Zero rows (degenerate tiny
+    lengths) report 0 and are held to the bound.
     """
-    if not any(family.bits):
+    N, bits = family.N, family.bits
+    if not any(bits):
         raise ValidationError("zero sequence family has no linear complexity")
-    lcs = [linear_complexity_cyclic(s, family.N) if s else 0
-           for s in family.bits]
+    G, residues, mask = (1 << N) | 1, bits, (1 << N) - 1
+    if N & N - 1 and (planes := _span_planes(bits)) is not None:
+        product, ys = 1, planes  # ys: L at each later plane; L(p + q) = L(p) + L(q)
+        while ys:
+            beta, *ys = ys
+            product, *ys = [(p & mask) ^ p >> N  # mod x^N + 1
+                            for p in [clmul(product, beta), *(clmul(y, y ^ beta) for y in ys)]]
+        G = poly_gcd(G, product)
+        residues = span([poly_mod(p, G) for p in planes])[1:]
+    lcs = [0 if not s else N + 1 - poly_gcd(G, r).bit_length() if N & N - 1
+           else linear_complexity_cyclic(s, N) for s, r in zip(bits, residues)]
     lc_min = min(lcs)
     if not lc_bound_check(lc_min, family.q, family.t, family.d):
         raise BoundViolationError(

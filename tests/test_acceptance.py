@@ -11,14 +11,13 @@ import math
 
 from conftest import cached_curve, cached_family, cached_instance
 from ecseq.analysis import (exhaustive_allowed, family_correlation,
-                            family_linear_complexity, lc_bound_check,
-                            linear_complexity_cyclic)
+                            family_linear_complexity, lc_bound_check)
 from ecseq.cli import main as cli_main
 from ecseq.curves import (INFINITY, CurveSearchSpec, admissible_t,
                           ordered_points, point_order, search_cyclic_curve,
                           special_traces)
 from ecseq.family import family_sizes
-from ecseq.gf2 import MAX_EXT_DEGREE, factorize, make_ext
+from ecseq.gf2 import MAX_EXT_DEGREE, factorize, make_ext, poly_gcd
 from ecseq.places import (_build_place, count_place_orbits,
                           count_places_formula, enumerate_places_deg_d)
 from ecseq.rrspace import rr_basis
@@ -177,16 +176,20 @@ def test_criterion_6_riemann_roch_dimension():
 
 
 def test_criterion_7_linear_complexity():
-    # exact lower bound over every generated family at n <= 8
+    # exact lower bound over every generated family at n <= 8, each row's
+    # value the gcd formula N - deg gcd(S(x), x^N + 1) on its own
     for (n, t), d in [((n, t), 2) for n, t in D2_INSTANCES] + \
                      [((n, t), 3) for n, t in D3_INSTANCES]:
         fam = cached_family(n, t, d)
         rep = family_linear_complexity(fam)  # raises below the bound
         assert lc_bound_check(rep.lc_min, fam.q, fam.t, fam.d)
-    # gcd-based value == brute-force minimal recurrence at N = 13
+        assert rep.lc_per_sequence == [
+            fam.N + 1 - poly_gcd(s, 1 << fam.N | 1).bit_length() if s else 0
+            for s in fam.bits], (n, t, d)
+    # the family's values == brute-force minimal recurrence at N = 13
     fam = cached_family(3, 4, 2)
-    for s in fam.bits:
-        assert linear_complexity_cyclic(s, fam.N) == brute_lc(s, fam.N)
+    assert family_linear_complexity(fam).lc_per_sequence == [
+        brute_lc(s, fam.N) for s in fam.bits]
     _ok(7, "linear-complexity bound and brute-force match")
 
 

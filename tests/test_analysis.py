@@ -15,7 +15,7 @@ from ecseq.analysis import (BoundViolationError, corr_bound,
                             lc_bound_ceil, lc_bound_check,
                             linear_complexity_cyclic)
 from ecseq.family import SequenceFamily
-from ecseq.gf2 import ValidationError, poly_gcd, span
+from ecseq.gf2 import ValidationError, clmul, poly_gcd, span
 from oracles import auto_report, brute_lc, corr, rotate, sampled_report, serre_failures
 
 
@@ -376,6 +376,44 @@ def test_family_lc_zero_row_reported_as_zero():
     rep = family_linear_complexity(fam)
     assert rep.lc_per_sequence == [0, linear_complexity_cyclic(s, 64)]
     assert rep.lc_min == 0
+
+
+@st.composite
+def lc_families(draw):
+    # span(planes)[1:] as gen_family writes them: planes that share a factor
+    # of x^N + 1, here (x + 1)^e or x^3 + x + 1 (a factor when 7 | N), give
+    # the modulus G a positive degree, and dependent planes a zero product;
+    # shuffled rows or a zeroed row leave the span for the G = x^N + 1 route
+    N = draw(st.sampled_from([7, 13, 21, 34, 35, 63]) | st.integers(2, 70))
+    mask = (1 << N) - 1
+    factor, e = draw(st.sampled_from([0b11, 0b1011])), draw(st.integers(0, 5))
+    planes = []
+    for p in draw(st.lists(st.integers(0, mask), min_size=1, max_size=5)):
+        for _ in range(e):
+            p = clmul(p, factor)
+            while p > mask:
+                p = (p & mask) ^ p >> N  # mod x^N + 1
+        planes.append(p)
+    if draw(st.booleans()):
+        planes.append(span(planes)[draw(st.integers(0, (1 << len(planes)) - 1))])
+    rows = span(planes)[1:]
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = 0
+    return SequenceFamily(n=2, t=1, d=2, N=N, M=len(rows), bits=rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lc_families())
+def test_family_lc_matches_per_row_gcd(fam):
+    N = fam.N
+    if not any(fam.bits):
+        with pytest.raises(ValidationError):
+            family_linear_complexity(fam)
+        return
+    assert family_linear_complexity(fam).lc_per_sequence == [
+        N + 1 - poly_gcd(s, 1 << N | 1).bit_length() if s else 0 for s in fam.bits]
 
 
 def test_family_lc_bound_violation_detected():
