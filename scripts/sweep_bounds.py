@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """End-to-end bound sweep: every admissible (n, t, d) pair at desk scale.
 
-For each instance the full pipeline runs and the correlation bound, the
-Serre-form counting identities and the linear-complexity bound are
-hard-asserted.  A nonzero exit means a bound failed somewhere (which would
-falsify the construction, not just a test).
+For each instance the full pipeline runs, the family passes through the
+ECSEQ v1 bytes and their checks, and the correlation bound, the Serre-form
+counting identities and the linear-complexity bound are hard-asserted.  A
+nonzero exit means a bound failed somewhere (which would falsify the
+construction, not just a test).
 
 Usage: python3 scripts/sweep_bounds.py [--max-n 6]
 """
@@ -14,7 +15,7 @@ import time
 
 from ecseq import build_instance, family_correlation, family_linear_complexity, gen_family
 from ecseq.analysis import exhaustive_allowed
-from ecseq.family import family_sizes
+from ecseq.family import family_sizes, format_family, parse_family
 
 
 def main(argv=None):
@@ -29,7 +30,7 @@ def main(argv=None):
         for t, d in family_sizes(n):
             t0 = time.perf_counter()
             curve, P, ext, place, space = build_instance(n, t, d)
-            fam = gen_family(curve, P, space, ext)
+            fam = parse_family(format_family(gen_family(curve, P, space, ext)))
             sampled = None if exhaustive_allowed(fam) else args.sampled
             corr = family_correlation(fam, sampled=sampled)
             assert corr.identities_ok, (n, t, d)

@@ -1,11 +1,11 @@
 """Correlation and cyclic linear-complexity analysis of a sequence family.
 
 Sequences are ints with bit j = s_j, and C_u(a, b) = N - 2*popcount(a XOR
-rot(b, u)).  Exhaustive sweeps take one pass per delay u <= N/2 over the rows'
-GF(2) span.  s -> s XOR rot(s, u) is linear, so a family spanned by m bit
-planes has every row's autocorrelation at u in the span of m deltas.  For the
-cross sweep, with s_b = sum_k c_b[k] * basis_k and col_j the basis bits at
-position j, C_u(s_i, s_b) is the Walsh-Hadamard transform at c_b of the
+rot(b, u)).  Every family is span(planes)[1:] (SequenceFamily.planes), and
+exhaustive sweeps take one pass per delay u <= N/2 over that span.
+s -> s XOR rot(s, u) is linear, so every row's autocorrelation at u is in the
+span of the planes' deltas.  For the cross sweep, with col_j the planes' bits
+at position j, C_u(s_i, s_b) is the Walsh-Hadamard transform at b + 1 of the
 buckets P[col_{j+u}] += (-1)^s_i(j), one 16-bit lane per row i, and
 C_u(a, b) = C_{N-u}(b, a) gives u > N/2.  Sampled mode replays
 random.Random(seed).randrange's draws from getrandbits and reads each probe's
@@ -25,7 +25,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .family import SequenceFamily
-from .gf2 import GF2Solver, ValidationError, clmul, poly_gcd, poly_mod, span, walsh_hadamard
+from .gf2 import ValidationError, clmul, poly_gcd, poly_mod, span, walsh_hadamard
 
 DEFAULT_BUDGET_MS = 10_000  # estimated exhaustive sweep time allowed without ECSEQ_BUDGET_MS
 _OPS_PER_MS = 3500  # exhaustive lane operations per ms, at or below the slowest measured
@@ -89,39 +89,28 @@ class LinearComplexityReport:
 
 
 def exhaustive_allowed(family: SequenceFamily) -> bool:
-    """Budget gate for the exhaustive sweep: M * max(M+1, 2^r) * (N//2 + 1)
-    lane operations, r the GF(2) rank of the rows, at _OPS_PER_MS must fit in
-    ECSEQ_BUDGET_MS, or DEFAULT_BUDGET_MS if unset.  The rank is found only
-    when M + 1 buckets fit; N must fit the 16-bit lanes."""
+    """Budget gate for the exhaustive sweep: M * (M+1) * (N//2 + 1) lane
+    operations, M + 1 buckets per row and delay, at _OPS_PER_MS must fit in
+    ECSEQ_BUDGET_MS, or DEFAULT_BUDGET_MS if unset; N must fit the 16-bit lanes."""
     env = os.environ.get("ECSEQ_BUDGET_MS")
     if env and not (env.isascii() and env.isdigit() and len(env) <= 18):
         shown = env if len(env) <= 20 else env[:20] + "..."
         raise ValidationError(
             f"ECSEQ_BUDGET_MS={shown!r} is not a non-negative integer of at most 18 digits")
     budget = (int(env) if env else DEFAULT_BUDGET_MS) * _OPS_PER_MS
-    per_bucket = family.M * (family.N // 2 + 1)
-    return (2 * family.N < _DIAGONAL and per_bucket * (family.M + 1) <= budget
-            and per_bucket << len(GF2Solver(family.bits).pivots) <= budget)
+    return 2 * family.N < _DIAGONAL and family.M * (family.M + 1) * (family.N // 2 + 1) <= budget
 
 
-def _span_planes(bits: list[int]) -> list[int] | None:
-    """The planes bits[2^k - 1] if the rows are span(planes)[1:] (gen_family's), else None."""
-    planes = [bits[(1 << k) - 1] for k in range(len(bits).bit_length())]
-    return planes if span(planes)[1:] == bits else None
-
-
-def _auto_transform(bits: list[int], N: int) -> tuple[Counter, Callable[[set], tuple]]:
-    """Counts of popcount(s_i ^ rotate(s_i, u)) over every (i, u), 0 < u < N, and
-    first(pcs): the lexicographically first (i, u) whose popcount is in pcs.
-    Rows that are the span of their planes take their values at u from the span
-    of the planes' deltas; other rows are their own generators.
-    A_u = A_{N-u}: u <= N/2 is swept, on windows of g|g<<N, counted twice if 2u != N."""
+def _auto_transform(planes: list[int], N: int) -> tuple[Counter, Callable[[set], tuple]]:
+    """Counts of popcount(s_i ^ rotate(s_i, u)) over every (i, u), 0 < u < N, s_i
+    row i of span(planes)[1:], and first(pcs): the lexicographically first (i, u)
+    whose popcount is in pcs.  Row i's value at u is row i of the span of the
+    planes' deltas.  A_u = A_{N-u}: u <= N/2 is swept, on windows of p|p<<N,
+    counted twice if 2u != N."""
     mask = (1 << N) - 1
-    planes = _span_planes(bits)
-    gens, expand = (planes, lambda v: span(v)[1:]) if planes is not None else (bits, list)
 
     def values(u: int) -> Iterator[int]:
-        return map(int.bit_count, expand([g ^ (g | g << N) >> u & mask for g in gens]))
+        return map(int.bit_count, span([p ^ (p | p << N) >> u & mask for p in planes])[1:])
     per_u, total = [], Counter()
     for u in range(1, N // 2 + 1):
         counts = Counter(values(u))
@@ -132,19 +121,18 @@ def _auto_transform(bits: list[int], N: int) -> tuple[Counter, Callable[[set], t
         for u, keys in enumerate(per_u, 1) if not pcs.isdisjoint(keys))
 
 
-def _cross_transform(bits: list[int], N: int) -> tuple[Counter, Callable[[int], tuple]]:
-    """Popcount counts over every (i, j, u) with i != j, and first(pc): the
-    lexicographically first (i, j, u) with i < j where pc occurs.
+def _cross_transform(planes: list[int], N: int) -> tuple[Counter, Callable[[int], tuple]]:
+    """Popcount counts over every (i, j, u) with i != j, rows span(planes)[1:],
+    and first(pc): the lexicographically first (i, j, u) with i < j where pc occurs.
 
-    Delay u <= N/2 of the ordered pair (i, b) also stands for (b, i, N-u), so
-    it counts twice when 0 < u < N/2.  A lane holds popcount(s_i ^ rot(s_b, u))
+    Row b reads bucket b + 1, so the planes need not be independent.  Delay
+    u <= N/2 of the ordered pair (i, b) also stands for (b, i, N-u), so it
+    counts twice when 0 < u < N/2.  A lane holds popcount(s_i ^ rot(s_b, u))
     = (N - C_u) / 2 in [0, N], so Counter meets only small ints.
     """
+    bits = span(planes)[1:]
     M = len(bits)
-    dependent = {c.bit_length() - 1 for c in GF2Solver(bits).null_combos}
-    basis = [s for j, s in enumerate(bits) if j not in dependent]  # greedy, in row order
-    coords = list(map({e: m for m, e in enumerate(span(basis))}.__getitem__, bits))
-    cols = [sum((b >> j & 1) << k for k, b in enumerate(basis)) for j in range(N)]
+    cols = [sum((p >> j & 1) << k for k, p in enumerate(planes)) for j in range(N)]
     ones = int("0001" * M, 16)
     spread = str.maketrans({"0": "0000", "1": "0001"})
     signs = [ones - 2 * int("".join(c).translate(spread), 16)  # lane i: (-1)^s_i(j)
@@ -152,13 +140,13 @@ def _cross_transform(bits: list[int], N: int) -> tuple[Counter, Callable[[int], 
 
     def lanes(u: int) -> array:
         """out[b*M + i] = popcount(s_i ^ rotate(s_b, u, N)); _DIAGONAL where i = b."""
-        buckets = [0] * (1 << len(basis))
+        buckets = [0] * (M + 1)
         for c, x in zip(cols[u:] + cols[:u], signs):
             buckets[c] += x
         walsh_hadamard(buckets)
         out = array("H")
-        for c in coords:
-            out.frombytes(((N * ones - buckets[c]) >> 1).to_bytes(2 * M, "little"))
+        for x in buckets[1:]:
+            out.frombytes(((N * ones - x) >> 1).to_bytes(2 * M, "little"))
         if sys.byteorder == "big":
             out.byteswap()
         out[::M + 1] = array("H", [_DIAGONAL]) * M
@@ -233,7 +221,7 @@ def family_correlation(family: SequenceFamily, sampled: int | None = None,
     """
     if sampled is not None and sampled < 1:
         raise ValidationError(f"sampled probe count {sampled} is below 1")
-    N, M, bits = family.N, family.M, family.bits
+    N, M, bits, planes = family.N, family.M, family.bits, family.planes
     bound = corr_bound(family.q, family.t, family.d)
     exhaustive = M > 1 and sampled is None
     mode = "sampled" if M > 1 and sampled is not None else "exhaustive"
@@ -243,14 +231,14 @@ def family_correlation(family: SequenceFamily, sampled: int | None = None,
             "use sampled mode or raise ECSEQ_BUDGET_MS")
     auto = _Sweep(N, bound, "auto (i, u)")
     cross = _Sweep(N, bound, "cross (i, j, u)")
-    counts, first = _auto_transform(bits, N)
+    counts, first = _auto_transform(planes, N)
     if bad := {pc for pc in counts if abs(N - 2 * pc) > bound}:
         i = first(bad)[0]  # the first row out of bound raises on its own extremes
         row, row_first = _auto_transform([bits[i]], N)
         auto.fold(row, lambda pc: (i, row_first({pc})[1]))
     auto.fold(counts, lambda pc: first({pc}))
     if exhaustive:
-        cross.fold(*_cross_transform(bits, N))
+        cross.fold(*_cross_transform(planes, N))
     elif mode == "sampled":
         # Random(seed).randrange(n), inlined: draw n.bit_length() bits until below n
         draw, mask = random.Random(seed).getrandbits, (1 << N) - 1
@@ -321,26 +309,26 @@ def family_linear_complexity(family: SequenceFamily) -> LinearComplexityReport:
     """Per-row cyclic linear complexity; asserts the family lower bound.
 
     At N = 2^k each row runs Games-Chan.  Otherwise gcd(s, x^N + 1) divides G =
-    gcd(x^N + 1, product of the rows), so it is gcd(G, s mod G).  For a span of
-    planes the product is that of beta = L(p) over the planes p in order, L the
-    subspace polynomial of the planes before p, and the residues are the span of
-    the planes'; other rows take G = x^N + 1.  Zero rows (degenerate tiny
-    lengths) report 0 and are held to the bound.
+    gcd(x^N + 1, product of the rows), so it is gcd(G, s mod G).  The product is
+    that of beta = L(p) over the planes p in order, L the subspace polynomial of
+    the planes before p, and the residues are the span of the planes'.  Zero rows
+    (degenerate tiny lengths) report 0 and are held to the bound.
     """
-    N, bits = family.N, family.bits
+    N, bits, planes = family.N, family.bits, family.planes
     if not any(bits):
         raise ValidationError("zero sequence family has no linear complexity")
-    G, residues, mask = (1 << N) | 1, bits, (1 << N) - 1
-    if N & N - 1 and (planes := _span_planes(bits)) is not None:
+    if N & N - 1 == 0:
+        lcs = [linear_complexity_cyclic(s, N) if s else 0 for s in bits]
+    else:
+        mask = (1 << N) - 1
         product, ys = 1, planes  # ys: L at each later plane; L(p + q) = L(p) + L(q)
         while ys:
             beta, *ys = ys
             product, *ys = [(p & mask) ^ p >> N  # mod x^N + 1
                             for p in [clmul(product, beta), *(clmul(y, y ^ beta) for y in ys)]]
-        G = poly_gcd(G, product)
+        G = poly_gcd((1 << N) | 1, product)
         residues = span([poly_mod(p, G) for p in planes])[1:]
-    lcs = [0 if not s else N + 1 - poly_gcd(G, r).bit_length() if N & N - 1
-           else linear_complexity_cyclic(s, N) for s, r in zip(bits, residues)]
+        lcs = [N + 1 - poly_gcd(G, r).bit_length() if s else 0 for s, r in zip(bits, residues)]
     lc_min = min(lcs)
     if not lc_bound_check(lc_min, family.q, family.t, family.d):
         raise BoundViolationError(
@@ -362,4 +350,4 @@ def counting_identity_check(family: SequenceFamily) -> bool:
     implies |A_u| <= the family bound.  Exhaustive; family_correlation
     reports the same verdict as identities_ok.
     """
-    return _serre_holds(family, _auto_transform(family.bits, family.N)[0])
+    return _serre_holds(family, _auto_transform(family.planes, family.N)[0])

@@ -2,6 +2,7 @@
 
 Rows are stored as Python ints with bit j (1 << j) holding s_{i,j}; the
 on-disk format packs each row MSB-first and pads the last byte with zeros.
+Row m is the XOR of the bit planes, rows 2^k - 1, that the bits of m + 1 select.
 """
 
 from __future__ import annotations
@@ -49,6 +50,14 @@ class SequenceFamily:
     @property
     def q(self) -> int:
         return 1 << self.n
+
+    @property
+    def planes(self) -> list[int]:
+        """The bit planes, rows 2^k - 1; FormatError unless the rows are span(planes)[1:]."""
+        planes = [self.bits[(1 << k) - 1] for k in range(len(self.bits).bit_length())]
+        if span(planes)[1:] != self.bits:
+            raise FormatError("rows are not the nonzero combinations of the planes, rows 2^k - 1")
+        return planes
 
 
 def build_instance(n: int, t: int, d: int
@@ -169,4 +178,6 @@ def parse_family(data: bytes) -> SequenceFamily:
         if raw[-1] & padding:
             raise FormatError("nonzero padding bits")
         bits.append(_unpack_row(raw, N))
-    return SequenceFamily(n=n, t=t, d=d, N=N, M=M, bits=bits, provenance=provenance)
+    family = SequenceFamily(n=n, t=t, d=d, N=N, M=M, bits=bits, provenance=provenance)
+    family.planes  # FormatError unless the rows are the span of their planes
+    return family

@@ -8,6 +8,7 @@ import random
 
 from ecseq.curves import CurveSearchSpec, search_cyclic_curve
 from ecseq.family import build_instance, gen_family
+from ecseq.gf2 import span
 
 
 @functools.lru_cache(maxsize=None)
@@ -27,16 +28,16 @@ def cached_family(n: int, t: int, d: int):
 
 
 def serre_breaking_family():
-    """The (9, 32, 2) family with row 300 replaced by a seeded sequence
-    that follows itself at shift 7 with flip probability 0.3, so it
-    breaks the Serre form only at u in {7, 538} while every |A_u| stays
-    within the family bound."""
+    """The (9, 32, 2) family with plane 8 (row 255) replaced by a seeded
+    sequence that follows itself at shift 7 with flip probability 0.3, so
+    the rows stay the span of their planes and break the Serre form only
+    at row 255, u in {7, 538}, while every |A_u| stays within the family bound."""
     fam = cached_family(9, 32, 2)
     rng = random.Random(1)
     seq = [rng.randrange(2) for _ in range(7)]
     for j in range(7, fam.N):
         seq.append(seq[j - 7] ^ (rng.random() < 0.3))
-    bits = list(fam.bits)
-    bits[300] = sum(b << j for j, b in enumerate(seq))
-    return dataclasses.replace(fam, bits=bits)
+    planes = fam.planes
+    planes[8] = sum(b << j for j, b in enumerate(seq))
+    return dataclasses.replace(fam, bits=span(planes)[1:])
 

@@ -14,7 +14,7 @@ from ecseq.analysis import (BoundViolationError, corr_bound,
                             family_correlation, family_linear_complexity,
                             lc_bound_ceil, lc_bound_check,
                             linear_complexity_cyclic)
-from ecseq.family import SequenceFamily
+from ecseq.family import FormatError, SequenceFamily
 from ecseq.gf2 import ValidationError, clmul, poly_gcd, span
 from oracles import auto_report, brute_lc, corr, rotate, sampled_report, serre_failures
 
@@ -125,13 +125,21 @@ def test_family_correlation_kernel_matches_naive_loop(n, t, d):
 
 
 @st.composite
+def planes_of(draw, N, max_size):
+    """Planes of length N, the last possibly a combination of the others
+    (zero included), so that span(planes)[1:] has zero and duplicate rows."""
+    planes = draw(st.lists(st.integers(0, (1 << N) - 1), min_size=1, max_size=max_size))
+    if draw(st.booleans()):
+        planes.append(span(planes)[draw(st.integers(0, (1 << len(planes)) - 1))])
+    return planes
+
+
+@st.composite
 def row_families(draw):
-    # rows drawn as XORs of a pool of up to 7 vectors: zero rows, duplicates
-    # and rank-deficient families arise along with full-rank ones
+    # rows span(planes)[1:] of up to 3 planes: zero rows, duplicates and
+    # rank-deficient families arise along with full-rank ones
     N = draw(st.integers(2, 48))
-    pool = draw(st.lists(st.integers(0, (1 << N) - 1), min_size=1, max_size=7))
-    picks = draw(st.lists(st.integers(0, (1 << len(pool)) - 1), min_size=1, max_size=7))
-    rows = [span(pool)[m] for m in picks]
+    rows = span(draw(planes_of(N, 2)))[1:]
     return SequenceFamily(n=12, t=0, d=3, N=N, M=len(rows), bits=rows)
 
 
@@ -160,11 +168,11 @@ def test_autocorrelation_half_sweep_matches_full_sweep(N):
         assert rep.max_auto == max(full)
         assert rep.auto_witness == (0, 1 + full.index(max(full)))
     # sampled mode builds only the rotations u <= N/2
-    fam = SequenceFamily(n=12, t=0, d=3, N=N, M=len(rows), bits=rows)
+    fam = SequenceFamily(n=12, t=0, d=3, N=N, M=15, bits=span(rows[:3] + rows[-1:])[1:])
     exhaustive, sampled = family_correlation(fam), family_correlation(fam, sampled=1)
     assert (sampled.max_auto, sampled.auto_witness) == (exhaustive.max_auto,
                                                         exhaustive.auto_witness)
-    assert sum(sampled.histogram.values()) == len(rows) * (N - 1) + 1
+    assert sum(sampled.histogram.values()) == fam.M * (N - 1) + 1
 
 
 @pytest.mark.parametrize("N", [40, 41])
@@ -194,11 +202,9 @@ def test_auto_violation_names_the_first_rows_own_extreme():
 
 @st.composite
 def span_families(draw):
-    # rows as gen_family writes them, span(planes)[1:], so the autocorrelation
-    # sweep runs over the planes' deltas; q=4 bound 21, so N > 21 may violate
+    # q=4 bound 21, so N > 21 may violate
     N = draw(st.integers(2, 48))
-    planes = draw(st.lists(st.integers(0, (1 << N) - 1), min_size=1, max_size=4))
-    rows = span(planes)[1:]
+    rows = span(draw(planes_of(N, 3)))[1:]
     return SequenceFamily(n=2, t=1, d=2, N=N, M=len(rows), bits=rows)
 
 
@@ -222,41 +228,44 @@ def test_span_family_auto_report_matches_per_row_oracle(fam):
 def test_negative_correlation_violation_raises():
     fam = cached_family(7, 16, 2)
     N, s = fam.N, fam.bits[0]
-    # C_u(s, ~s) = -C_u(s, s): -N at u = 0, and within the bound elsewhere
-    fake = SequenceFamily(n=7, t=16, d=2, N=N, M=2,
-                          bits=[s, ~s & ((1 << N) - 1)])
+    # planes s and ~rot(s, 1): C_u(s, ~rot(s, 1)) = -C_{u+1}(s, s), -N at
+    # u = N - 1 and within the bound elsewhere, as is every autocorrelation
+    fake = SequenceFamily(n=7, t=16, d=2, N=N, M=3,
+                          bits=span([s, ~rotate(s, 1, N) & ((1 << N) - 1)])[1:])
     bound = corr_bound(fake.q, fake.t, fake.d)
     assert bound < N
     assert max(corr(s, fake.bits[1], u, N) for u in range(N)) <= bound
-    with pytest.raises(BoundViolationError, match=r"cross \(i, j, u\) = \(0, 1, 0\)"):
+    assert max(abs(corr(r, r, u, N)) for r in fake.bits for u in range(1, N)) <= bound
+    with pytest.raises(BoundViolationError,
+                       match=re.escape(f"|-{N}| > bound {bound} at cross (i, j, u) = "
+                                       f"(0, 1, {N - 1})") + "$"):
         family_correlation(fake)
 
 
 def test_autocorrelations_are_checked_before_cross_correlations():
-    # rows s, ~s and 0101...: the pair (0, 1) is over the bound at u = 0, but
-    # every autocorrelation is checked first, so row 2's violation is named
+    # planes s and ~s: the pair (0, 1) is over the bound at u = 0, but every
+    # autocorrelation is checked first, so row 2, all ones, is named
     fam = cached_family(7, 16, 2)
     N, s = fam.N, fam.bits[0]
-    alt = int("01" * N, 2) & ((1 << N) - 1)
-    fake = SequenceFamily(n=7, t=16, d=2, N=N, M=3, bits=[s, ~s & ((1 << N) - 1), alt])
-    with pytest.raises(BoundViolationError, match=r"auto \(i, u\) = \(2, "):
+    fake = SequenceFamily(n=7, t=16, d=2, N=N, M=3, bits=span([s, ~s & ((1 << N) - 1)])[1:])
+    assert fake.bits[2] == (1 << N) - 1
+    with pytest.raises(BoundViolationError, match=r"auto \(i, u\) = \(2, 1\)"):
         family_correlation(fake)
 
 
 @st.composite
 def sampled_families(draw):
-    # M = 2 draws randrange(1), which still takes a bit; M = 2^k and N = 2^k
-    # are where n.bit_length() and (n - 1).bit_length() part
-    M = draw(st.sampled_from([2, 3, 4, 5, 8, 9, 16, 17]))
+    # M = 2^k - 1 rows, k >= 2; N = 2^k is where n.bit_length() and
+    # (n - 1).bit_length() part
     N = draw(st.integers(2, 70) | st.just(64))
-    rows = draw(st.lists(st.integers(0, (1 << N) - 1), min_size=M, max_size=M))
-    return SequenceFamily(n=12, t=0, d=3, N=N, M=M, bits=rows)
+    planes = draw(planes_of(N, 4).filter(lambda p: len(p) > 1))
+    return SequenceFamily(n=12, t=0, d=3, N=N, M=(1 << len(planes)) - 1, bits=span(planes)[1:])
 
 
 @settings(max_examples=150, deadline=None)
 @given(sampled_families(), st.integers(1, 300), st.integers(0, 2**64))
-@example(SequenceFamily(n=12, t=0, d=3, N=64, M=16,  # draws cross two probe blocks
-                        bits=[random.Random(r).getrandbits(64) for r in range(16)]),
+@example(SequenceFamily(n=12, t=0, d=3, N=64, M=15,  # draws cross two probe blocks
+                        bits=span([random.Random(r).getrandbits(64) for r in range(4)])[1:]),
          2 * 4096 + 1, 7)
 def test_sampled_probes_replay_randrange(fam, k, seed):
     # n=12, d=3 gives bound 896 >= N, so no row ever violates it
@@ -372,9 +381,10 @@ def test_family_lc_report():
 def test_family_lc_zero_row_reported_as_zero():
     # N = 64 = 2^6, the d3-q64 length; q=64, t=-1, d=3 asks for lc >= 0
     s = random.Random(7).getrandbits(64)
-    fam = SequenceFamily(n=6, t=-1, d=3, N=64, M=2, bits=[0, s])
+    fam = SequenceFamily(n=6, t=-1, d=3, N=64, M=3, bits=span([0, s])[1:])
     rep = family_linear_complexity(fam)
-    assert rep.lc_per_sequence == [0, linear_complexity_cyclic(s, 64)]
+    lc = linear_complexity_cyclic(s, 64)
+    assert rep.lc_per_sequence == [0, lc, lc]
     assert rep.lc_min == 0
 
 
@@ -382,8 +392,7 @@ def test_family_lc_zero_row_reported_as_zero():
 def lc_families(draw):
     # span(planes)[1:] as gen_family writes them: planes that share a factor
     # of x^N + 1, here (x + 1)^e or x^3 + x + 1 (a factor when 7 | N), give
-    # the modulus G a positive degree, and dependent planes a zero product;
-    # shuffled rows or a zeroed row leave the span for the G = x^N + 1 route
+    # the modulus G a positive degree, and dependent planes a zero product
     N = draw(st.sampled_from([7, 13, 21, 34, 35, 63]) | st.integers(2, 70))
     mask = (1 << N) - 1
     factor, e = draw(st.sampled_from([0b11, 0b1011])), draw(st.integers(0, 5))
@@ -397,10 +406,6 @@ def lc_families(draw):
     if draw(st.booleans()):
         planes.append(span(planes)[draw(st.integers(0, (1 << len(planes)) - 1))])
     rows = span(planes)[1:]
-    if draw(st.booleans()):
-        rows = draw(st.permutations(rows))
-    if draw(st.booleans()):
-        rows[draw(st.integers(0, len(rows) - 1))] = 0
     return SequenceFamily(n=2, t=1, d=2, N=N, M=len(rows), bits=rows)
 
 
@@ -417,9 +422,9 @@ def test_family_lc_matches_per_row_gcd(fam):
 
 
 def test_family_lc_bound_violation_detected():
-    # all-ones rows have lc = 1, far below the bound at q=64, t=8
-    fake = SequenceFamily(n=6, t=8, d=2, N=73, M=2, bits=[(1 << 73) - 1] * 2)
-    with pytest.raises(BoundViolationError):
+    # the all-ones row has lc = 1, below the bound 2 at q=64, t=8
+    fake = SequenceFamily(n=6, t=8, d=2, N=73, M=3, bits=span([(1 << 73) - 1, 1])[1:])
+    with pytest.raises(BoundViolationError, match="lc_min = 1 below"):
         family_linear_complexity(fake)
 
 
@@ -432,7 +437,7 @@ def test_counting_identities():
 def test_counting_identity_failure_at_two_delays_is_found():
     fam = serre_breaking_family()
     N = fam.N
-    assert serre_failures(fam) == [(300, 7), (300, 538)]
+    assert serre_failures(fam) == [(255, 7), (255, 538)]
     assert (max(abs(corr(s, s, u, N)) for s in fam.bits for u in range(1, N))
             <= corr_bound(fam.q, fam.t, fam.d) == 257)
     assert counting_identity_check(fam) is False
@@ -443,7 +448,21 @@ def test_bound_violation_raises():
     # a forged family whose rows cannot satisfy the q=4 bound
     rng = random.Random(3)
     N = 102
-    bits = [rng.randrange(1, 1 << N) for _ in range(3)] + [(1 << N) - 1] * 2
-    fake = SequenceFamily(n=2, t=1, d=2, N=N, M=5, bits=bits)
+    planes = [rng.randrange(1, 1 << N) for _ in range(3)] + [(1 << N) - 1]
+    fake = SequenceFamily(n=2, t=1, d=2, N=N, M=15, bits=span(planes)[1:])
     with pytest.raises(BoundViolationError):
         family_correlation(fake)
+
+
+@pytest.mark.parametrize("analyse", [
+    family_correlation, lambda fam: family_correlation(fam, sampled=10),
+    family_linear_complexity, counting_identity_check,
+], ids=["exhaustive", "sampled", "linear-complexity", "counting-identities"])
+@pytest.mark.parametrize("row", [0, 2])
+def test_rows_that_are_not_the_span_of_their_planes_raise(analyse, row):
+    # one bit flipped in a plane (row 0) or in a combination of planes (row 2)
+    bits = list(cached_family(3, 4, 2).bits)
+    bits[row] ^= 1
+    fam = SequenceFamily(n=3, t=4, d=2, N=13, M=7, bits=bits)
+    with pytest.raises(FormatError, match="not the nonzero combinations"):
+        analyse(fam)

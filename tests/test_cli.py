@@ -15,7 +15,6 @@ import pytest
 
 from conftest import cached_family, serre_breaking_family
 from ecseq import analysis, cli, family
-from ecseq.analysis import exhaustive_allowed
 from ecseq.cli import main
 from ecseq.family import write_family
 from ecseq.gf2 import MAX_DEGREE, MIN_DEGREE
@@ -184,6 +183,11 @@ def _space_in_row(lines):
     return lines[:2] + [lines[2][:2] + " " + lines[2][2:]] + lines[3:]
 
 
+def _flip_bit(lines, row):
+    # s_0 of the row: the top bit of its first byte
+    return lines[:2 + row] + [f"{int(lines[2 + row], 16) ^ 1 << 15:04x}"] + lines[3 + row:]
+
+
 def _provenance(lines, text):
     return [lines[0], text, *lines[2:]]
 
@@ -212,8 +216,13 @@ def _over_cap_n11():
     lambda tmp: _provenance(_family_lines(tmp, 3, 4, 2), "[" * 200000 + "]" * 200000),
     # ... or is JSON but not an object
     lambda tmp: _provenance(_family_lines(tmp, 3, 4, 2), "5"),
+    # a valid n=3 family with a data bit flipped in a plane (row 0) or in a
+    # combination of planes (row 2): the rows are no longer their planes' span
+    lambda tmp: _flip_bit(_family_lines(tmp, 3, 4, 2), 0),
+    lambda tmp: _flip_bit(_family_lines(tmp, 3, 4, 2), 2),
 ], ids=["impossible-N", "relabelled-N", "padding-bit", "uppercase-hex",
-        "space-in-hex", "over-cap-n11", "deep-provenance", "non-object-provenance"])
+        "space-in-hex", "over-cap-n11", "deep-provenance", "non-object-provenance",
+        "flipped-plane-bit", "flipped-combination-bit"])
 def test_malformed_header_or_padding_exits_4(tmp_path, forge):
     forged = tmp_path / "forged.ecseq"
     forged.write_text("\n".join(forge(tmp_path)) + "\n")
@@ -321,23 +330,21 @@ def test_exhaustive_over_default_budget(tmp_path, capsys, monkeypatch):
     assert row["observed_cor"] <= row["bound"]
 
 
-def test_forged_full_rank_family_over_budget(tmp_path, capsys, monkeypatch):
-    # random rows span 2^63 buckets where the generated (6, 8, 2) rows span
-    # 2^6: analyze exits 2 on the gate's estimate before the cross sweep
-    # starts, and --sampled still analyses the file
-    monkeypatch.delenv("ECSEQ_BUDGET_MS", raising=False)
+def test_forged_full_rank_family_exits_4(tmp_path, capsys, monkeypatch):
+    # random rows under a valid (6, 8, 2) header are not the span of their
+    # planes: analyze exits 4 on reading the file, before the budget gate or
+    # any sweep runs
     real = cached_family(6, 8, 2)
     rng = random.Random(6)
     fake = dataclasses.replace(real, bits=[rng.randrange(1 << real.N) for _ in range(real.M)])
-    assert exhaustive_allowed(real) and not exhaustive_allowed(fake)
-    forged = tmp_path / "forged.ecseq"
+    forged, out = tmp_path / "forged.ecseq", tmp_path / "report.json"
     write_family(fake, forged)
+    monkeypatch.setattr(analysis, "exhaustive_allowed", None)
     monkeypatch.setattr(analysis, "_cross_transform", None)
-    assert run(["analyze", forged]) == 2
-    assert "exceeds the budget" in capsys.readouterr().err
-    out = tmp_path / "report.json"
-    assert run(["analyze", forged, "--sampled", 1000, "--out", out]) == 0
-    assert json.loads(out.read_text())["correlation"]["mode"] == "sampled"
+    for sampled in [], ["--sampled", 1000]:
+        assert run(["analyze", forged, *sampled, "--out", out]) == 4
+        assert "not the nonzero combinations" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_reproduce_table3_small(tmp_path):

@@ -110,6 +110,8 @@ def test_header_line_format(tmp_path):
     lambda lines: lines[:3],                             # missing rows
     lambda lines: lines[:2] + ["zz" * 2] + lines[3:],    # bad hex
     lambda lines: lines[:2] + ["ff"] + lines[3:],        # short row
+    # s_0 flipped in row 2, so the rows are not the span of their planes
+    lambda lines: lines[:4] + [f"{int(lines[4], 16) ^ 1 << 15:04x}"] + lines[5:],
 ])
 def test_malformed_files_rejected(tmp_path, mutate):
     fam = cached_family(3, 4, 2)

@@ -57,12 +57,18 @@ def test_enumeration_matches_per_point_reference(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_count_place_orbits_matches_enumeration(n):
+    # both read one sweep; the per-point oracle checks it, at n <= 4 in
+    # test_enumeration_matches_per_point_reference and at n = 5 here, at d = 2
+    # only: at d = 3 it takes about 10 s, and criterion 4 holds the count to
+    # the formula there
     for t in admissible_t(n):
         curve, _ = cached_curve(n, t)
-        for d in (2, 3):
+        for d in (2, 3) if n < 5 else (2,):
             ext = make_ext(curve.ctx, d)
-            assert (count_place_orbits(curve, ext, d)
-                    == len(enumerate_places_deg_d(curve, ext, d))), (n, t, d)
+            places = enumerate_places_deg_d(curve, ext, d)
+            if n == 5:
+                assert places == per_point_enumeration(curve, ext, d), (n, t, d)
+            assert count_place_orbits(curve, ext, d) == len(places), (n, t, d)
 
 
 @pytest.mark.parametrize("n", [3, 4])
