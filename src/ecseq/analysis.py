@@ -1,8 +1,8 @@
 """Correlation and cyclic linear-complexity analysis of a sequence family.
 
 Sequences are ints with bit j = s_j, and C_u(a, b) = N - 2*popcount(a XOR
-rot(b, u)).  Every family is span(planes)[1:] (SequenceFamily.planes), and
-exhaustive sweeps take one pass per delay u <= N/2 over that span.
+rot(b, u)).  A family holds its planes (SequenceFamily.planes), its rows being
+span(planes)[1:], and exhaustive sweeps take one pass per delay u <= N/2 over it.
 s -> s XOR rot(s, u) is linear, so every row's autocorrelation at u is in the
 span of the planes' deltas.  For the cross sweep, with col_j the planes' bits
 at position j, C_u(s_i, s_b) is the Walsh-Hadamard transform at b + 1 of the

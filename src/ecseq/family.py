@@ -1,12 +1,13 @@
 """Sequence family generation s_{i,j} = Tr(z_i(P_j)) and the ECSEQ v1 file.
 
-Rows are stored as Python ints with bit j (1 << j) holding s_{i,j}; the
-on-disk format packs each row MSB-first and pads the last byte with zeros.
-Row m is the XOR of the bit planes, rows 2^k - 1, that the bits of m + 1 select.
+A family is its n(d-1) bit planes: row m, an int with bit j = s_{m,j}, is the XOR
+of the planes that the bits of m + 1 select, so plane k is row 2^k - 1.  The
+file packs each row MSB-first and pads the last byte with zeros.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -37,14 +38,14 @@ def require_family(n: int, t: int, d: int) -> None:
         raise ValidationError(f"no family for n={n} t={t} d={d}; see `ecseq admissible --n {n}`")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SequenceFamily:
+    """A family over GF(2^n) held as its bit planes, from which M and the rows derive."""
     n: int
     t: int
     d: int
     N: int
-    M: int
-    bits: list[int]  # bits[i] bit j = s_{i,j}
+    planes: tuple[int, ...]
     provenance: dict = field(default_factory=dict)
 
     @property
@@ -52,12 +53,13 @@ class SequenceFamily:
         return 1 << self.n
 
     @property
-    def planes(self) -> list[int]:
-        """The bit planes, rows 2^k - 1; FormatError unless the rows are span(planes)[1:]."""
-        planes = [self.bits[(1 << k) - 1] for k in range(len(self.bits).bit_length())]
-        if span(planes)[1:] != self.bits:
-            raise FormatError("rows are not the nonzero combinations of the planes, rows 2^k - 1")
-        return planes
+    def M(self) -> int:
+        return (1 << len(self.planes)) - 1
+
+    @functools.cached_property
+    def bits(self) -> list[int]:
+        """The M rows, span(planes)[1:]: bits[i] bit j = s_{i,j}."""
+        return span(self.planes)[1:]
 
 
 def build_instance(n: int, t: int, d: int
@@ -78,7 +80,7 @@ def build_instance(n: int, t: int, d: int
 
 def gen_family(curve: Curve, P: Point, space: RRSpace,
                ext: ExtFieldContext) -> SequenceFamily:
-    """The full M x N bit matrix with regeneration provenance.
+    """The family's bit planes with regeneration provenance.
 
     Tr(c * b(P_j)) is GF(2)-linear in c, so the rows are the GF(2) span of
     n*(d-1) bit planes Tr(x^i * b_k(P_j)).  Row m is the XOR of the planes
@@ -94,7 +96,6 @@ def gen_family(curve: Curve, P: Point, space: RRSpace,
         vals = [eval_function(curve, b, pt) for pt in pts]
         for i in range(ctx.n):
             planes.append(sum(trace(mul(1 << i, v)) << j for j, v in enumerate(vals)))
-    bits = span(planes)[1:]
     prov = {
         "field": ctx.serialize(),
         "ext_field": ext.serialize(),
@@ -104,7 +105,7 @@ def gen_family(curve: Curve, P: Point, space: RRSpace,
         "V_basis": [b.serialize() for b in space.V_basis],
     }
     return SequenceFamily(n=ctx.n, t=curve.t, d=space.place.d, N=curve.N,
-                          M=len(bits), bits=bits, provenance=prov)
+                          planes=tuple(planes), provenance=prov)
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +144,8 @@ def read_family(path) -> SequenceFamily:
 
 
 def parse_family(data: bytes) -> SequenceFamily:
-    """The family in the bytes of an ECSEQ v1 file; FormatError if malformed."""
+    """The family in an ECSEQ v1 file's bytes, its planes read from rows 2^k - 1;
+    FormatError unless data is exactly format_family's bytes for that family."""
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -152,8 +154,7 @@ def parse_family(data: bytes) -> SequenceFamily:
         raise FormatError("missing ECSEQ v1 header")
     try:
         fields = dict(kv.split("=") for kv in lines[0].split()[2:])
-        n, t, d = int(fields["n"]), int(fields["t"]), int(fields["d"])
-        N, M = int(fields["N"]), int(fields["M"])
+        n, t, d, N, M = (int(fields[key]) for key in "ntdNM")
         provenance = json.loads(lines[1])
     except (KeyError, ValueError, IndexError, RecursionError) as exc:
         raise FormatError(f"bad ECSEQ header or provenance: {exc}") from exc
@@ -161,23 +162,14 @@ def parse_family(data: bytes) -> SequenceFamily:
         raise FormatError("provenance is not a JSON object")
     if family_sizes(n).get((t, d)) != (N, M):
         raise FormatError(f"n={n} t={t} d={d} N={N} M={M} is not a family generate builds")
-    if len(lines) != 2 + M:
-        raise FormatError(f"expected {M} rows, found {len(lines) - 2}")
-    nbytes = (N + 7) // 8
-    padding = (1 << -N % 8) - 1  # low bits of the last byte, past bit N-1
-    bits = []
-    for ln in lines[2:]:
-        try:
-            raw = bytes.fromhex(ln)
-        except ValueError as exc:
-            raise FormatError(f"bad hex row: {exc}") from exc
-        if raw.hex() != ln:
-            raise FormatError("row is not canonical lowercase hex")
-        if len(raw) != nbytes:
-            raise FormatError("row length does not match N")
-        if raw[-1] & padding:
-            raise FormatError("nonzero padding bits")
-        bits.append(_unpack_row(raw, N))
-    family = SequenceFamily(n=n, t=t, d=d, N=N, M=M, bits=bits, provenance=provenance)
-    family.planes  # FormatError unless the rows are the span of their planes
+    try:  # plane k is row 2^k - 1, after the header and provenance lines
+        planes = tuple(_unpack_row(bytes.fromhex(lines[1 + 2**k]), N) for k in range(n * (d - 1)))
+        family = SequenceFamily(n=n, t=t, d=d, N=N, planes=planes, provenance=provenance)
+        want = format_family(family)  # json.dumps may recurse deeper than json.loads did
+    except (ValueError, IndexError, RecursionError) as exc:
+        raise FormatError(f"bad plane row or provenance: {exc}") from exc
+    if want != data:
+        pairs = zip(data.splitlines(True) + [None], want.splitlines(True) + [None])
+        line = next(k for k, (a, b) in enumerate(pairs, 1) if a != b)
+        raise FormatError(f"line {line} differs from format_family's bytes for this family")
     return family

@@ -8,7 +8,6 @@ import random
 
 from ecseq.curves import CurveSearchSpec, search_cyclic_curve
 from ecseq.family import build_instance, gen_family
-from ecseq.gf2 import span
 
 
 @functools.lru_cache(maxsize=None)
@@ -37,7 +36,7 @@ def serre_breaking_family():
     seq = [rng.randrange(2) for _ in range(7)]
     for j in range(7, fam.N):
         seq.append(seq[j - 7] ^ (rng.random() < 0.3))
-    planes = fam.planes
+    planes = list(fam.planes)
     planes[8] = sum(b << j for j, b in enumerate(seq))
-    return dataclasses.replace(fam, bits=span(planes)[1:])
+    return dataclasses.replace(fam, planes=tuple(planes))
 

@@ -1,7 +1,6 @@
 """CLI subcommands, exit codes, and end-to-end determinism."""
 
 import builtins
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -192,6 +191,14 @@ def _provenance(lines, text):
     return [lines[0], text, *lines[2:]]
 
 
+def _spaced_provenance(lines):
+    return _provenance(lines, json.dumps(json.loads(lines[1]), sort_keys=True))
+
+
+def _header(lines, edit):
+    return [edit(lines[0]), *lines[1:]]
+
+
 def _over_cap_n11():
     # a well-formed n=11 d=2 header (n*d = 22 > MAX_EXT_DEGREE) over random
     # rows with zero padding: generate refuses this instance
@@ -220,12 +227,21 @@ def _over_cap_n11():
     # combination of planes (row 2): the rows are no longer their planes' span
     lambda tmp: _flip_bit(_family_lines(tmp, 3, 4, 2), 0),
     lambda tmp: _flip_bit(_family_lines(tmp, 3, 4, 2), 2),
+    # a valid n=3 family in text that format_family does not write: JSON with
+    # the default separators, a doubled space or an extra field in the
+    # header, CRLF line endings, no final newline
+    lambda tmp: _spaced_provenance(_family_lines(tmp, 3, 4, 2)),
+    lambda tmp: _header(_family_lines(tmp, 3, 4, 2), lambda h: h.replace(" t=", "  t=")),
+    lambda tmp: _header(_family_lines(tmp, 3, 4, 2), lambda h: h + " x=1"),
+    lambda tmp: [ln + "\r" for ln in _family_lines(tmp, 3, 4, 2)],
+    lambda tmp: "\n".join(_family_lines(tmp, 3, 4, 2)),
 ], ids=["impossible-N", "relabelled-N", "padding-bit", "uppercase-hex",
         "space-in-hex", "over-cap-n11", "deep-provenance", "non-object-provenance",
-        "flipped-plane-bit", "flipped-combination-bit"])
+        "flipped-plane-bit", "flipped-combination-bit", "spaced-provenance",
+        "doubled-header-space", "extra-header-field", "crlf", "no-final-newline"])
 def test_malformed_header_or_padding_exits_4(tmp_path, forge):
-    forged = tmp_path / "forged.ecseq"
-    forged.write_text("\n".join(forge(tmp_path)) + "\n")
+    forged, text = tmp_path / "forged.ecseq", forge(tmp_path)
+    forged.write_text(text if isinstance(text, str) else "\n".join(text) + "\n")
     assert run(["analyze", forged]) == 4
 
 
@@ -331,19 +347,19 @@ def test_exhaustive_over_default_budget(tmp_path, capsys, monkeypatch):
 
 
 def test_forged_full_rank_family_exits_4(tmp_path, capsys, monkeypatch):
-    # random rows under a valid (6, 8, 2) header are not the span of their
-    # planes: analyze exits 4 on reading the file, before the budget gate or
-    # any sweep runs
-    real = cached_family(6, 8, 2)
+    # random rows, canonically packed, under a valid (6, 8, 2) header and
+    # provenance are not the span of their planes: analyze exits 4 on reading
+    # the file, naming row 2 (line 5), before the budget gate or any sweep runs
+    real, lines = cached_family(6, 8, 2), _family_lines(tmp_path, 6, 8, 2)
     rng = random.Random(6)
-    fake = dataclasses.replace(real, bits=[rng.randrange(1 << real.N) for _ in range(real.M)])
+    rows = [family._pack_row(rng.randrange(1 << real.N), real.N).hex() for _ in range(real.M)]
     forged, out = tmp_path / "forged.ecseq", tmp_path / "report.json"
-    write_family(fake, forged)
+    forged.write_text("\n".join(lines[:2] + rows) + "\n")
     monkeypatch.setattr(analysis, "exhaustive_allowed", None)
     monkeypatch.setattr(analysis, "_cross_transform", None)
     for sampled in [], ["--sampled", 1000]:
         assert run(["analyze", forged, *sampled, "--out", out]) == 4
-        assert "not the nonzero combinations" in capsys.readouterr().err
+        assert "line 5 differs from format_family's bytes" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -363,6 +379,24 @@ def test_sweep_bounds_script(capsys):
     spec.loader.exec_module(script)
     script.main(["--max-n", "4"])  # every bound asserted: raises on a failure
     assert capsys.readouterr().out.endswith("\n27 instances, all bounds hold\n")
+
+
+def test_trace_worker_runs(tmp_path):
+    # one traced generate / analyze / count-places --verify pass, reading
+    # fam.M, fam.bits and space.full_basis, writes all three outputs
+    root = Path(__file__).resolve().parents[1]
+    spec = {"n": 3, "t": 4, "d": 2, "sampled": None, "verify_places": True, "seed": 0,
+            "run_id": "tier1", "out": str(tmp_path / "trace.json")}
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "trace_worker.py"),
+                           json.dumps(spec)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    outputs = json.loads((tmp_path / "trace.json").read_text())["outputs"]
+    assert sorted(outputs) == ["analyze_s", "count_places_s", "generate_s"]
+    assert outputs["generate_s"] == hashlib.sha256(
+        family.format_family(cached_family(3, 4, 2))).hexdigest()
+    assert outputs["analyze_s"]["config"] == {"n": 3, "t": 4, "d": 2, "N": 13, "M": 7}
+    assert outputs["count_places_s"]["consistent"] is True
 
 
 def test_trace_worker_imports():

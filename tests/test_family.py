@@ -7,15 +7,15 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import cached_family, cached_instance
 from ecseq import family
 from ecseq.curves import ordered_points
 from ecseq.family import (FormatError, _pack_row, _unpack_row, build_instance, family_sizes,
-                          read_family, write_family)
-from ecseq.gf2 import ValidationError
+                          format_family, parse_family, read_family, write_family)
+from ecseq.gf2 import MIN_DEGREE, ValidationError, span
 from ecseq.rrspace import eval_function
 from oracles import enumerate_V, shift_identity_check
 
@@ -121,6 +121,25 @@ def test_malformed_files_rejected(tmp_path, mutate):
     broken.write_text("\n".join(mutate(path.read_text().splitlines())) + "\n")
     with pytest.raises(FormatError):
         read_family(broken)
+
+
+@pytest.mark.parametrize("n, t, d", [(n, t, d) for n in range(MIN_DEGREE, 5)
+                                     for t, d in family_sizes(n)])
+def test_every_small_family_round_trips(n, t, d):
+    fam = cached_family(n, t, d)
+    assert parse_family(format_family(fam)) == fam
+    assert fam.bits == span(fam.planes)[1:]
+    assert fam.M == len(fam.bits)
+
+
+@given(st.integers(0, 6), st.integers(0, 3), st.characters(exclude_categories=["Cs"]))
+def test_any_character_substituted_in_a_row_is_rejected(row, col, char):
+    # rows 0..6 of the (3, 4, 2) file, each four hex digits on lines 3..9
+    lines = format_family(cached_family(3, 4, 2)).decode().split("\n")
+    assume(char != lines[2 + row][col])
+    lines[2 + row] = lines[2 + row][:col] + char + lines[2 + row][col + 1:]
+    with pytest.raises(FormatError):
+        parse_family("\n".join(lines).encode())
 
 
 @pytest.mark.parametrize("n, t, d", [(3, 4, 4), (3, 4, 1), (6, -1, 2), (3, 2, 2)])
