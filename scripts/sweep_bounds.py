@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """End-to-end bound sweep: every admissible (n, t, d) pair at desk scale.
 
-For each instance the full pipeline runs, the family passes through the
-ECSEQ v1 bytes and their checks, and the correlation bound, the Serre-form
-counting identities and the linear-complexity bound are hard-asserted.  A
-nonzero exit means a bound failed somewhere (which would falsify the
-construction, not just a test).
+For each instance the full pipeline runs, and the family passes through the
+ECSEQ v1 bytes: parse_family builds it a second time and requires the same
+bytes.  The correlation bound, the Serre-form counting identities and the
+linear-complexity bound are hard-asserted.  A nonzero exit means a bound
+failed somewhere (which would falsify the construction, not just a test).
 
 Usage: python3 scripts/sweep_bounds.py [--max-n 6]
 """
@@ -13,7 +13,7 @@ Usage: python3 scripts/sweep_bounds.py [--max-n 6]
 import argparse
 import time
 
-from ecseq import build_instance, family_correlation, family_linear_complexity, gen_family
+from ecseq import build_family, family_correlation, family_linear_complexity
 from ecseq.analysis import exhaustive_allowed
 from ecseq.family import family_sizes, format_family, parse_family
 
@@ -29,8 +29,7 @@ def main(argv=None):
     for n in range(2, args.max_n + 1):
         for t, d in family_sizes(n):
             t0 = time.perf_counter()
-            curve, P, ext, place, space = build_instance(n, t, d)
-            fam = parse_family(format_family(gen_family(curve, P, space, ext)))
+            fam = parse_family(format_family(build_family(n, t, d)))
             sampled = None if exhaustive_allowed(fam) else args.sampled
             corr = family_correlation(fam, sampled=sampled)
             assert corr.identities_ok, (n, t, d)

@@ -8,7 +8,7 @@ from .analysis import (BoundViolationError, CorrelationReport,
                        lc_bound_check, linear_complexity_cyclic)
 from .curves import (Curve, CurveSearchSpec, Point, admissible_t,
                      ordered_points, search_cyclic_curve)
-from .family import (FormatError, SequenceFamily, build_instance, gen_family,
+from .family import (FormatError, SequenceFamily, build_family, gen_family,
                      read_family, write_family)
 from .gf2 import (ExtFieldContext, FieldContext, ValidationError, make_ext,
                   make_field)

@@ -16,8 +16,8 @@ import time
 from .analysis import (BoundViolationError, exhaustive_allowed,
                        family_correlation, family_linear_complexity)
 from .curves import CurveSearchSpec, admissible_t, search_cyclic_curve, special_traces
-from .family import (FormatError, build_instance, family_sizes, gen_family,
-                     parse_family, require_family, write_family)
+from .family import (FormatError, build_family, family_sizes, parse_family,
+                     require_family, write_family)
 from .gf2 import MAX_EXT_DEGREE, ValidationError, make_ext, make_field
 from .places import count_place_orbits, count_places_formula
 
@@ -53,8 +53,7 @@ def _emit(obj, out_path=None):
 
 def cmd_generate(args) -> int:
     n, t, d = args.n, args.t, args.d
-    curve, P, ext, place, space = build_instance(n, t, d)
-    fam = gen_family(curve, P, space, ext)
+    fam = build_family(n, t, d)
     out = args.out or f"ecseq_n{n}_t{t}_d{d}.ecseq"
     digest = hashlib.sha256(write_family(fam, out)).hexdigest()
     cv = fam.provenance["curve"]
@@ -103,8 +102,7 @@ def cmd_reproduce_table(args) -> int:
     rows = []
     for n, t, d in specs:
         q = 1 << n
-        curve, P, ext, place, space = build_instance(n, t, d)
-        fam = gen_family(curve, P, space, ext)
+        fam = build_family(n, t, d)
         sampled = None if exhaustive_allowed(fam) else args.sampled
         rep = family_correlation(fam, sampled=sampled, seed=args.seed)
         ref = refs.get(q, {})

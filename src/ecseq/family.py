@@ -2,7 +2,8 @@
 
 A family is its n(d-1) bit planes: row m, an int with bit j = s_{m,j}, is the XOR
 of the planes that the bits of m + 1 select, so plane k is row 2^k - 1.  The
-file packs each row MSB-first and pads the last byte with zeros.
+file packs each row MSB-first and pads the last byte with zeros.  A file is
+valid only as format_family(build_family(n, t, d)) for the n, t, d in its header.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .curves import (Curve, CurveSearchSpec, Point, admissible_t, ordered_points
                      search_cyclic_curve)
 from .gf2 import (MAX_DEGREE, MAX_EXT_DEGREE, MIN_DEGREE, ExtFieldContext,
                   ValidationError, make_ext, make_field, span)
-from .places import PlaceD, find_place
+from .places import find_place
 from .rrspace import RRSpace, eval_function, rr_basis
 
 
@@ -62,20 +63,17 @@ class SequenceFamily:
         return span(self.planes)[1:]
 
 
-def build_instance(n: int, t: int, d: int
-                   ) -> tuple[Curve, Point, ExtFieldContext, PlaceD, RRSpace]:
-    """The construction up to the function space: (curve, P, ext, place, space).
-
-    The first cyclic curve with N = 2^n + 1 + t and its generator P, the
-    degree-d extension, the first regular degree-d place and the basis of
-    L(Q).  Raises ValidationError, before any search, for q^d over the
-    extension cap or a (t, d) that family_sizes(n) does not list.
+def build_family(n: int, t: int, d: int) -> SequenceFamily:
+    """The family generate writes for (n, t, d): the first cyclic curve with
+    N = 2^n + 1 + t and its generator P, the degree-d extension, the first
+    regular degree-d place and the traces of L(Q)'s basis.  Raises
+    ValidationError, before any search, for q^d over the extension cap or a
+    (t, d) that family_sizes(n) does not list.
     """
     ext = make_ext(make_field(n), d)
     require_family(n, t, d)
     curve, P = search_cyclic_curve(CurveSearchSpec(n, t))
-    place = find_place(curve, ext, d)
-    return curve, P, ext, place, rr_basis(curve, ext, place)
+    return gen_family(curve, P, rr_basis(curve, ext, find_place(curve, ext, d)), ext)
 
 
 def gen_family(curve: Curve, P: Point, space: RRSpace,
@@ -111,16 +109,12 @@ def gen_family(curve: Curve, P: Point, space: RRSpace,
 # ----------------------------------------------------------------------
 # ECSEQ v1 serialization.
 
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _pack_row(row: int, N: int) -> bytes:
     """Bit j of row becomes bit j of the MSB-first byte string."""
-    nbits = 8 * ((N + 7) // 8)
-    return int(format(row, f"0{nbits}b")[::-1], 2).to_bytes(nbits // 8, "big")
-
-
-def _unpack_row(data: bytes, N: int) -> int:
-    """Inverse of _pack_row; bits past N-1 are dropped."""
-    bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
-    return int(bits[N - 1::-1], 2)
+    return row.to_bytes((N + 7) // 8, "little").translate(_REVERSED_BITS)
 
 
 def format_family(family: SequenceFamily) -> bytes:
@@ -144,31 +138,20 @@ def read_family(path) -> SequenceFamily:
 
 
 def parse_family(data: bytes) -> SequenceFamily:
-    """The family in an ECSEQ v1 file's bytes, its planes read from rows 2^k - 1;
-    FormatError unless data is exactly format_family's bytes for that family."""
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"not UTF-8 text: {exc}") from exc
-    if not lines or not lines[0].startswith("ECSEQ v1 "):
+    """The family that an ECSEQ v1 file's header names, rebuilt by build_family;
+    FormatError unless data is exactly format_family's bytes for it."""
+    header = data.split(b"\n", 1)[0]
+    if not header.startswith(b"ECSEQ v1 "):
         raise FormatError("missing ECSEQ v1 header")
     try:
-        fields = dict(kv.split("=") for kv in lines[0].split()[2:])
-        n, t, d, N, M = (int(fields[key]) for key in "ntdNM")
-        provenance = json.loads(lines[1])
-    except (KeyError, ValueError, IndexError, RecursionError) as exc:
-        raise FormatError(f"bad ECSEQ header or provenance: {exc}") from exc
-    if not isinstance(provenance, dict):
-        raise FormatError("provenance is not a JSON object")
-    if family_sizes(n).get((t, d)) != (N, M):
-        raise FormatError(f"n={n} t={t} d={d} N={N} M={M} is not a family generate builds")
-    try:  # plane k is row 2^k - 1, after the header and provenance lines
-        planes = tuple(_unpack_row(bytes.fromhex(lines[1 + 2**k]), N) for k in range(n * (d - 1)))
-        family = SequenceFamily(n=n, t=t, d=d, N=N, planes=planes, provenance=provenance)
-        want = format_family(family)  # json.dumps may recurse deeper than json.loads did
-    except (ValueError, IndexError, RecursionError) as exc:
-        raise FormatError(f"bad plane row or provenance: {exc}") from exc
-    if want != data:
+        fields = dict(kv.split("=") for kv in header.decode().split()[2:])
+        n, t, d = (int(fields[key]) for key in "ntd")
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"bad ECSEQ header: {exc}") from exc
+    if (t, d) not in family_sizes(n):
+        raise FormatError(f"n={n} t={t} d={d} is not a family generate builds")
+    family = build_family(n, t, d)
+    if (want := format_family(family)) != data:
         pairs = zip(data.splitlines(True) + [None], want.splitlines(True) + [None])
         line = next(k for k, (a, b) in enumerate(pairs, 1) if a != b)
         raise FormatError(f"line {line} differs from format_family's bytes for this family")

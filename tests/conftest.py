@@ -7,7 +7,10 @@ import functools
 import random
 
 from ecseq.curves import CurveSearchSpec, search_cyclic_curve
-from ecseq.family import build_instance, gen_family
+from ecseq.family import build_family
+from ecseq.gf2 import make_ext, make_field
+from ecseq.places import find_place
+from ecseq.rrspace import rr_basis
 
 
 @functools.lru_cache(maxsize=None)
@@ -16,14 +19,16 @@ def cached_curve(n: int, t: int):
     return search_cyclic_curve(CurveSearchSpec(n, t))
 
 
-# (curve, P, ext, place, space) — the full pipeline minus bit output
-cached_instance = functools.lru_cache(maxsize=None)(build_instance)
-
-
 @functools.lru_cache(maxsize=None)
-def cached_family(n: int, t: int, d: int):
-    curve, P, ext, place, space = cached_instance(n, t, d)
-    return gen_family(curve, P, space, ext)
+def cached_instance(n: int, t: int, d: int):
+    """(curve, P, ext, place, space): the pieces build_family passes to gen_family."""
+    ext = make_ext(make_field(n), d)
+    curve, P = cached_curve(n, t)
+    place = find_place(curve, ext, d)
+    return curve, P, ext, place, rr_basis(curve, ext, place)
+
+
+cached_family = functools.lru_cache(maxsize=None)(build_family)
 
 
 def serre_breaking_family():

@@ -384,6 +384,12 @@ def test_family_lc_zero_row_reported_as_zero():
     assert rep.lc_min == 0
 
 
+def test_family_lc_zero_family_raises():
+    # the all-zero (3, 4, 2) planes: no row has a linear complexity
+    with pytest.raises(ValidationError, match="zero sequence family"):
+        family_linear_complexity(SequenceFamily(n=3, t=4, d=2, N=13, planes=(0, 0, 0)))
+
+
 @st.composite
 def lc_families(draw):
     # span(planes)[1:] as gen_family writes them: planes that share a factor

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from conftest import cached_family, cached_instance
 from ecseq import family
 from ecseq.curves import ordered_points
-from ecseq.family import (FormatError, _pack_row, _unpack_row, build_instance, family_sizes,
-                          format_family, parse_family, read_family, write_family)
+from ecseq.family import (FormatError, _pack_row, build_family, family_sizes, format_family,
+                          parse_family, read_family, write_family)
 from ecseq.gf2 import MIN_DEGREE, ValidationError, span
 from ecseq.rrspace import eval_function
 from oracles import enumerate_V, shift_identity_check
@@ -77,10 +77,11 @@ def test_enumerate_v_ordering_and_size():
 
 @given(st.integers(1, 200), st.data())
 def test_pack_unpack_roundtrip(N, data):
+    # bit j of the row is bit 7 - j % 8 of byte j // 8, and the padding is zero
     row = data.draw(st.integers(0, (1 << N) - 1))
     packed = _pack_row(row, N)
     assert len(packed) == (N + 7) // 8
-    assert _unpack_row(packed, N) == row
+    assert sum((packed[j // 8] >> 7 - j % 8 & 1) << j for j in range(8 * len(packed))) == row
 
 
 def test_file_roundtrip_byte_identical(tmp_path):
@@ -148,7 +149,7 @@ def test_build_instance_refuses_unlisted_family_before_search(monkeypatch, n, t,
     assert (t, d) not in family_sizes(n)
     monkeypatch.setattr(family, "search_cyclic_curve", None)
     with pytest.raises(ValidationError, match=f"ecseq admissible --n {n}"):
-        build_instance(n, t, d)
+        build_family(n, t, d)
 
 
 def test_family_sizes_entries():
@@ -161,11 +162,12 @@ def test_family_sizes_entries():
 
 def test_pipeline_builds_no_extension_tables():
     # make_ext is cached in this process (and the place oracle builds tables
-    # on it), so build and generate in a fresh interpreter
+    # on it), so build, then read the family's bytes back, in a fresh interpreter
     root = Path(__file__).resolve().parents[1]
-    code = ("from ecseq.family import build_instance, gen_family\n"
-            "curve, P, ext, place, space = build_instance(10, 32, 2)\n"
-            "fam = gen_family(curve, P, space, ext)\n"
+    code = ("from ecseq.family import build_family, format_family, parse_family\n"
+            "from ecseq.gf2 import make_ext, make_field\n"
+            "fam = parse_family(format_family(build_family(10, 32, 2)))\n"
+            "ext = make_ext(make_field(10), 2)\n"
             "print(ext.q, fam.M, len(ext._exp), len(ext._log))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=120)
