@@ -6,8 +6,8 @@ span(planes)[1:], and exhaustive sweeps take one pass per delay u <= N/2 over it
 s -> s XOR rot(s, u) is linear, so every row's autocorrelation at u is in the
 span of the planes' deltas.  For the cross sweep, with col_j the planes' bits
 at position j, C_u(s_i, s_b) is the Walsh-Hadamard transform at b + 1 of the
-buckets P[col_{j+u}] += (-1)^s_i(j), one 16-bit lane per row i, and
-C_u(a, b) = C_{N-u}(b, a) gives u > N/2.  Sampled mode replays
+buckets P[col_{j+u}] += (-1)^s_i(j), one 16-bit lane per row i, counted by bit
+planes, and C_u(a, b) = C_{N-u}(b, a) gives u > N/2.  Sampled mode replays
 random.Random(seed).randrange's draws from getrandbits and reads each probe's
 rotation as a window of b|b<<N.  Cyclic linear complexity, N - deg gcd(S(x), x^N+1),
 takes Games-Chan's halvings at N = 2^k, else gcds mod gcd(x^N+1, the rows' product).
@@ -31,6 +31,7 @@ DEFAULT_BUDGET_MS = 10_000  # estimated exhaustive sweep time allowed without EC
 _OPS_PER_MS = 3500  # exhaustive lane operations per ms, at or below the slowest measured
 _SAMPLE_BLOCK = 4096  # sampled probes held in memory at a time
 _DIAGONAL = 0xFFFF  # marks i = b in the cross sweep's 16-bit lanes, which need 2N < it
+_TRANSPOSE = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
 class BoundViolationError(AssertionError):
@@ -121,6 +122,40 @@ def _auto_transform(planes: list[int], N: int) -> tuple[Counter, Callable[[set],
         for u, keys in enumerate(per_u, 1) if not pcs.isdisjoint(keys))
 
 
+def _lane_counter(lanes: int, w: int) -> Callable[[bytes], Counter]:
+    """count(raw): counts of the low w <= 16 bits of raw's first `lanes` 16-bit
+    little-endian lanes.  Three masked delta swaps transpose the low (high) bytes
+    of each 8 lanes as an 8x8 bit matrix, so plane k (8 + k), bit p is bit k of
+    lane p's low (high) byte; a trie over the planes from bit w-1 down splits each
+    node by & and ^ and counts it by bit_count."""
+    size = lanes + -lanes % 8  # whole blocks of 8 lanes
+    swaps = [(shift, int.from_bytes(mask.to_bytes(8, "little") * (size // 8), "little"))
+             for shift, mask in _TRANSPOSE]
+
+    def count(raw: bytes) -> Counter:
+        planes = []
+        for half in range((w + 7) // 8):
+            x = int.from_bytes(raw[half::2], "little")  # the pad lanes are 0
+            for shift, mask in swaps:
+                t = (x ^ x >> shift) & mask
+                x ^= t ^ t << shift
+            x = x.to_bytes(size, "little")
+            planes += [int.from_bytes(x[k::8], "little") for k in range(min(8, w - len(planes)))]
+        counts, stack = Counter(), [(w - 1, (1 << lanes) - 1, lanes, 0)]
+        while stack:
+            k, node, n, value = stack.pop()
+            if k < 0:
+                counts[value] = n
+                continue
+            one = node & planes[k]
+            if ones := one.bit_count():
+                stack.append((k - 1, one, ones, value | 1 << k))
+            if ones < n:  # a leaf needs only its count
+                stack.append((k - 1, node ^ one if k else 0, n - ones, value))
+        return counts
+    return count
+
+
 def _cross_transform(planes: list[int], N: int) -> tuple[Counter, Callable[[int], tuple]]:
     """Popcount counts over every (i, j, u) with i != j, rows span(planes)[1:],
     and first(pc): the lexicographically first (i, j, u) with i < j where pc occurs.
@@ -128,43 +163,40 @@ def _cross_transform(planes: list[int], N: int) -> tuple[Counter, Callable[[int]
     Row b reads bucket b + 1, so the planes need not be independent.  Delay
     u <= N/2 of the ordered pair (i, b) also stands for (b, i, N-u), so it
     counts twice when 0 < u < N/2.  A lane holds popcount(s_i ^ rot(s_b, u))
-    = (N - C_u) / 2 in [0, N], so Counter meets only small ints.
+    = (N - C_u) / 2 in [0, N], below 2^w - 1, the diagonal's low w bits.
     """
     bits = span(planes)[1:]
-    M = len(bits)
+    M, w = len(bits), (N + 1).bit_length()
     cols = [sum((p >> j & 1) << k for k, p in enumerate(planes)) for j in range(N)]
     ones = int("0001" * M, 16)
     spread = str.maketrans({"0": "0000", "1": "0001"})
     signs = [ones - 2 * int("".join(c).translate(spread), 16)  # lane i: (-1)^s_i(j)
              for c in zip(*(format(s, f"0{N}b") for s in reversed(bits)))][::-1]
 
-    def lanes(u: int) -> array:
-        """out[b*M + i] = popcount(s_i ^ rotate(s_b, u, N)); _DIAGONAL where i = b."""
+    def lanes(u: int) -> bytearray:
+        """Lane b*M + i (16-bit little-endian) = popcount(s_i ^ rotate(s_b, u, N))."""
         buckets = [0] * (M + 1)
         for c, x in zip(cols[u:] + cols[:u], signs):
             buckets[c] += x
         walsh_hadamard(buckets)
-        out = array("H")
-        for x in buckets[1:]:
-            out.frombytes(((N * ones - x) >> 1).to_bytes(2 * M, "little"))
-        if sys.byteorder == "big":
-            out.byteswap()
-        out[::M + 1] = array("H", [_DIAGONAL]) * M
+        out = bytearray().join([((N * ones - x) >> 1).to_bytes(2 * M, "little")
+                                for x in buckets[1:]])
+        out[0::2 * M + 2] = out[1::2 * M + 2] = b"\xff" * M  # _DIAGONAL where i = b
         return out
 
-    per_u, total = [], Counter()
+    per_u, total, count = [], Counter(), _lane_counter(M * M, w)
     for u in range(N // 2 + 1):
-        counts = Counter(lanes(u))
-        del counts[_DIAGONAL]
+        counts = count(lanes(u))
+        del counts[(1 << w) - 1]  # the diagonal
         per_u.append(array("I", counts))  # the keys, without holding the Counter
         total.update(counts + counts if 2 * u % N else counts)
 
     def first(pc: int) -> tuple[int, int, int]:
-        hits = []
+        hits, key = [], int.from_bytes(pc.to_bytes(2, "little"), sys.byteorder)  # pc's lane
         for u in (u for u, keys in enumerate(per_u) if pc in keys):
-            pcs, k = lanes(u), -1
-            for _ in range(pcs.count(pc)):
-                k = pcs.index(pc, k + 1)
+            pcs, k = array("H", lanes(u)), -1  # native byte order
+            for _ in range(pcs.count(key)):
+                k = pcs.index(key, k + 1)
                 b, i = divmod(k, M)
                 hits.append((i, b, u) if i < b else (b, i, (N - u) % N))
         return min(hits)
@@ -312,8 +344,8 @@ def family_linear_complexity(family: SequenceFamily) -> LinearComplexityReport:
     gcd(x^N + 1, product of the rows), so it is gcd(G, s mod G).  The product is
     that of beta = L(p) over the planes p in order, L the subspace polynomial of
     the planes before p, and the residues are the span of the planes'.  Zero rows
-    (degenerate tiny lengths) report 0 and are held to the bound.
-    """
+    report 0 and are held to the bound; only six built families have them
+    (tests: test_planes_are_independent_but_at_six_vacuous_families)."""
     N, bits, planes = family.N, family.bits, family.planes
     if not any(bits):
         raise ValidationError("zero sequence family has no linear complexity")

@@ -109,6 +109,7 @@ def gen_family(curve: Curve, P: Point, space: RRSpace,
 # ----------------------------------------------------------------------
 # ECSEQ v1 serialization.
 
+_HEADER = "ECSEQ v1 n={} t={} d={} N={} M={}"
 _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
@@ -120,7 +121,7 @@ def _pack_row(row: int, N: int) -> bytes:
 def format_family(family: SequenceFamily) -> bytes:
     """The ECSEQ v1 file: header, provenance, then one hex row per line."""
     return "".join(ln + "\n" for ln in [
-        f"ECSEQ v1 n={family.n} t={family.t} d={family.d} N={family.N} M={family.M}",
+        _HEADER.format(family.n, family.t, family.d, family.N, family.M),
         json.dumps(family.provenance, sort_keys=True, separators=(",", ":")),
         *(_pack_row(row, family.N).hex() for row in family.bits)]).encode()
 
@@ -148,8 +149,10 @@ def parse_family(data: bytes) -> SequenceFamily:
         n, t, d = (int(fields[key]) for key in "ntd")
     except (KeyError, ValueError) as exc:
         raise FormatError(f"bad ECSEQ header: {exc}") from exc
-    if (t, d) not in family_sizes(n):
+    if (t, d) not in (sizes := family_sizes(n)):
         raise FormatError(f"n={n} t={t} d={d} is not a family generate builds")
+    if header != _HEADER.format(n, t, d, *sizes[t, d]).encode():  # before any construction
+        raise FormatError("line 1 differs from format_family's bytes for this family")
     family = build_family(n, t, d)
     if (want := format_family(family)) != data:
         pairs = zip(data.splitlines(True) + [None], want.splitlines(True) + [None])

@@ -7,10 +7,14 @@ over all of GF(q)^2, and orbits from a point-by-point Frobenius walk.
 
 import math
 import random
+import sys
+from array import array
 from collections import Counter
 from operator import xor
 
+from ecseq.analysis import _DIAGONAL
 from ecseq.curves import INFINITY, Point, _sort_key, ordered_points
+from ecseq.gf2 import span, walsh_hadamard
 from ecseq.places import frobenius_orbit
 from ecseq.rrspace import CurveFunction, eval_function
 
@@ -60,6 +64,53 @@ def sampled_report(fam, k: int, seed: int) -> dict:
             max_cross, witness = c, probe
     return {"histogram": dict(hist), "max_cross": max_cross, "cross_witness": witness,
             "samples": k, "seed": seed}
+
+
+def counter_cross_transform(planes: list[int], N: int):
+    """The exhaustive cross sweep with each delay's lanes counted by Counter, one
+    value at a time: (total, first, per_u) with total and first as
+    analysis._cross_transform returns them, and per_u the Counter of each delay
+    u <= N/2 over its ordered pairs (b, i), i != b."""
+    bits = span(planes)[1:]
+    M = len(bits)
+    cols = [sum((p >> j & 1) << k for k, p in enumerate(planes)) for j in range(N)]
+    ones = int("0001" * M, 16)
+    spread = str.maketrans({"0": "0000", "1": "0001"})
+    signs = [ones - 2 * int("".join(c).translate(spread), 16)  # lane i: (-1)^s_i(j)
+             for c in zip(*(format(s, f"0{N}b") for s in reversed(bits)))][::-1]
+
+    def lanes(u: int) -> array:
+        """out[b*M + i] = popcount(s_i ^ rotate(s_b, u, N)); _DIAGONAL where i = b."""
+        buckets = [0] * (M + 1)
+        for c, x in zip(cols[u:] + cols[:u], signs):
+            buckets[c] += x
+        walsh_hadamard(buckets)
+        out = array("H")
+        for x in buckets[1:]:
+            out.frombytes(((N * ones - x) >> 1).to_bytes(2 * M, "little"))
+        if sys.byteorder == "big":
+            out.byteswap()
+        out[::M + 1] = array("H", [_DIAGONAL]) * M
+        return out
+
+    per_u, total = [], Counter()
+    for u in range(N // 2 + 1):
+        counts = Counter(lanes(u))
+        del counts[_DIAGONAL]
+        per_u.append(counts)
+        total.update(counts + counts if 2 * u % N else counts)
+
+    def first(pc: int) -> tuple[int, int, int]:
+        hits = []
+        for u in (u for u, counts in enumerate(per_u) if pc in counts):
+            pcs, k = lanes(u), -1
+            for _ in range(pcs.count(pc)):
+                k = pcs.index(pc, k + 1)
+                b, i = divmod(k, M)
+                hits.append((i, b, u) if i < b else (b, i, (N - u) % N))
+        return min(hits)
+
+    return total, first, per_u
 
 
 def serre_failures(fam) -> list[tuple[int, int]]:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cached_family, serre_breaking_family
+from ecseq import analysis
 from ecseq.analysis import (BoundViolationError, corr_bound,
                             counting_identity_check, exhaustive_allowed,
                             family_correlation, family_linear_complexity,
@@ -16,7 +17,8 @@ from ecseq.analysis import (BoundViolationError, corr_bound,
                             linear_complexity_cyclic)
 from ecseq.family import SequenceFamily
 from ecseq.gf2 import ValidationError, clmul, poly_gcd, span
-from oracles import auto_report, brute_lc, corr, rotate, sampled_report, serre_failures
+from oracles import (auto_report, brute_lc, corr, counter_cross_transform, rotate,
+                     sampled_report, serre_failures)
 
 
 def bits_and_delay(max_n=64):
@@ -122,6 +124,45 @@ def test_family_correlation_kernel_matches_naive_loop(n, t, d):
     # each maximum is attained beyond its mirror image (u <-> N-u, or
     # (i, j, u) <-> (j, i, N-u)), so the first-in-order rule is exercised
     assert hist[max_auto] > 2 and hist[max_cross] > 2
+
+
+@st.composite
+def lanes_and_width(draw):
+    """w in 1..15 and up to 70 16-bit lanes, many of them within 2 of 2^w - 1
+    in their low w bits, under any high bits."""
+    w = draw(st.integers(1, 15))
+    near = st.tuples(st.integers(-2, 1), st.integers(0, 0xFFFF >> w)).map(
+        lambda e: ((1 << w) - 1 + e[0]) % (1 << w) | e[1] << w)
+    return w, draw(st.lists(st.integers(0, 0xFFFF) | near, max_size=70))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lanes_and_width())
+@example((9, [0xFFFF] * 9 + [273, 0, 511, 512]))
+def test_lane_counter_matches_counter(w_lanes):
+    # lengths that are no multiple of 8 leave pad lanes in the last block
+    w, lanes = w_lanes
+    raw = b"".join(v.to_bytes(2, "little") for v in lanes)
+    counts = analysis._lane_counter(len(lanes), w)(raw)
+    assert dict(counts) == dict(Counter(v & (1 << w) - 1 for v in lanes))
+
+
+@pytest.mark.parametrize("n,t,d", [(8, -16, 2), (8, 16, 2), (4, -1, 3), (2, -2, 2)])
+def test_cross_transform_matches_counter_kernel(monkeypatch, n, t, d):
+    # N = 241 (w = 8) and N = 273 (w = 9) at M = 255, a d = 3 family and the
+    # smallest; every delay's counts, then the report with its witnesses
+    fam = cached_family(n, t, d)
+    total, first, per_u = counter_cross_transform(list(fam.planes), fam.N)
+    seen, lane_counter = [], analysis._lane_counter
+
+    def recording(lanes, w):
+        count = lane_counter(lanes, w)
+        return lambda raw: seen.append(count(raw)) or seen[-1]
+    monkeypatch.setattr(analysis, "_lane_counter", recording)
+    report = family_correlation(fam).as_dict()
+    assert [dict(c) for c in seen] == [dict(c) for c in per_u]
+    monkeypatch.setattr(analysis, "_cross_transform", lambda planes, N: (total, first))
+    assert family_correlation(fam).as_dict() == report
 
 
 @st.composite

@@ -1,21 +1,26 @@
 """CLI subcommands, exit codes, and end-to-end determinism."""
 
 import builtins
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import cached_family, serre_breaking_family
 from ecseq import analysis, cli, family
 from ecseq.cli import main
-from ecseq.family import write_family
+from ecseq.family import format_family, write_family
 from ecseq.gf2 import MAX_DEGREE, MIN_DEGREE
 
 
@@ -298,6 +303,26 @@ def test_canonical_forgery_names_the_line_that_differs(tmp_path, capsys, forge, 
     forged.write_text(forge(tmp_path))
     assert run(["analyze", forged]) == 4
     assert f"line {line} differs from format_family's bytes" in capsys.readouterr().err
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 40), st.integers(0, 3),
+       st.text("0123456789abcdef=+- ntdNM{}:,\"\n\u0663", max_size=4))
+@example(0, 15, 0, "+")          # t=+4
+@example(0, 11, 1, "\u0663")     # n=3 in an Arabic-Indic digit
+@example(0, 29, 0, " n=3")       # a repeated key
+@example(0, 12, 0, " =")         # a stray =
+@example(1, 0, 1, "")            # the provenance loses its first byte
+@example(4, 0, 0, "")            # no mutation: the file analyses cleanly
+def test_mutated_file_exits_0_2_or_4_never_3(line, pos, cut, text):
+    # one edit of the (3, 4, 2) file: header, provenance or one of its rows;
+    # a malformed file is never reported as a bound failure, nor raises
+    lines = format_family(cached_family(3, 4, 2)).decode().split("\n")
+    lines[line] = lines[line][:pos] + text + lines[line][pos + cut:]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()):
+        path = Path(tmp) / "fam.ecseq"
+        path.write_bytes("\n".join(lines).encode())
+        assert run(["analyze", path, "--out", Path(tmp) / "report.json"]) in (0, 2, 4)
 
 
 @pytest.mark.parametrize("k", [0, -3])

@@ -15,7 +15,8 @@ from ecseq import family
 from ecseq.curves import ordered_points
 from ecseq.family import (FormatError, _pack_row, build_family, family_sizes, format_family,
                           parse_family, read_family, write_family)
-from ecseq.gf2 import MIN_DEGREE, ValidationError, span
+from ecseq.analysis import corr_bound
+from ecseq.gf2 import MIN_DEGREE, GF2Solver, ValidationError, span
 from ecseq.rrspace import eval_function
 from oracles import enumerate_V, shift_identity_check
 
@@ -141,6 +142,37 @@ def test_any_character_substituted_in_a_row_is_rejected(row, col, char):
     lines[2 + row] = lines[2 + row][:col] + char + lines[2 + row][col + 1:]
     with pytest.raises(FormatError):
         parse_family("\n".join(lines).encode())
+
+
+@pytest.mark.parametrize("header", [
+    "ECSEQ v1 n=3 t=+4 d=2 N=13 M=7",
+    "ECSEQ v1 n=\u0663 t=4 d=2 N=13 M=7",   # an Arabic-Indic digit three
+    "ECSEQ v1 n=3 t=4 d=2 N=13 M=7 n=3",
+    "ECSEQ v1 n=3 = t=4 d=2 N=13 M=7",
+    "ECSEQ v1 n=3 t=4 d=2 N=13 M=07",
+    "ECSEQ v1 n=3 t=4 d=2 M=7 N=13",
+], ids=["plus-sign", "arabic-indic-digit", "repeated-key", "stray-equals", "leading-zero",
+        "key-order"])
+def test_noncanonical_header_is_rejected_before_construction(monkeypatch, header):
+    # each passes int() and names the (3, 4, 2) family, whose rows follow
+    lines = format_family(cached_family(3, 4, 2)).decode().split("\n")
+    monkeypatch.setattr(family, "build_family", None)
+    with pytest.raises(FormatError, match="line 1 differs"):
+        parse_family("\n".join([header, *lines[1:]]).encode())
+
+
+RANK_DEFICIENT = {(2, -3, 3), (2, -2, 2), (2, -1, 3), (3, -5, 3), (3, -4, 2), (3, -4, 3)}
+
+
+def test_planes_are_independent_but_at_six_vacuous_families():
+    # the claimed family size q^(d-1) - 1 needs distinct rows, so independent
+    # planes; six small families have dependent ones, hence zero and repeated
+    # rows, and a bound >= N that no correlation can break
+    deficient = {(n, t, d) for n in range(MIN_DEGREE, 9) for t, d in family_sizes(n)
+                 if GF2Solver(list(cached_family(n, t, d).planes)).null_combos}
+    assert deficient == RANK_DEFICIENT
+    assert all(corr_bound(1 << n, t, d) >= (1 << n) + 1 + t for n, t, d in deficient)
+    assert sum(map(len, map(family_sizes, range(MIN_DEGREE, 9)))) == 62
 
 
 @pytest.mark.parametrize("n, t, d", [(3, 4, 4), (3, 4, 1), (6, -1, 2), (3, 2, 2)])
