@@ -2,7 +2,9 @@
 
 Each is as naive as it can be and independent of the kernel it checks:
 correlations use their own rotation, points come from the curve equation
-over all of GF(q)^2, and orbits from a point-by-point Frobenius walk.
+over all of GF(q)^2, and orbits from a point-by-point Frobenius walk.  The
+one exception, counter_cross_transform, shares the cross sweep's transform
+and checks only how each delay's lanes are counted.
 """
 
 import math
