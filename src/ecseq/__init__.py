@@ -4,8 +4,7 @@ over GF(2^n), with exact correlation and linear-complexity verification."""
 from .analysis import (BoundViolationError, CorrelationReport,
                        LinearComplexityReport, corr_bound,
                        counting_identity_check, family_correlation,
-                       family_linear_complexity, lc_bound_ceil,
-                       lc_bound_check, linear_complexity_cyclic)
+                       family_linear_complexity, lc_bound_ceil, lc_bound_check)
 from .curves import (Curve, CurveSearchSpec, Point, admissible_t,
                      ordered_points, search_cyclic_curve)
 from .family import (FormatError, SequenceFamily, build_family, gen_family,

@@ -10,7 +10,7 @@ buckets P[col_{j+u}] += (-1)^s_i(j), one 16-bit lane per row i, counted by bit
 planes, and C_u(a, b) = C_{N-u}(b, a) gives u > N/2.  Sampled mode replays
 random.Random(seed).randrange's draws from getrandbits and reads each probe's
 rotation as a window of b|b<<N.  Cyclic linear complexity, N - deg gcd(S(x), x^N+1),
-takes Games-Chan's halvings at N = 2^k, else gcds mod gcd(x^N+1, the rows' product).
+reads their images' span: s(x+1) at N = 2^k, else s mod gcd(x^N+1, the rows' product).
 """
 
 from __future__ import annotations
@@ -102,24 +102,29 @@ def exhaustive_allowed(family: SequenceFamily) -> bool:
     return 2 * family.N < _DIAGONAL and family.M * (family.M + 1) * (family.N // 2 + 1) <= budget
 
 
+def _per_delay(count: Callable, us: range, N: int) -> tuple[Counter, Callable]:
+    """count(u) totalled over us, twice where 2u % N != 0 as u stands for N - u
+    too, and where(pcs): the delays whose counts (only keys kept) hold a pc."""
+    per_u, total = [], Counter()
+    for u in us:
+        counts = count(u)
+        per_u.append((u, array("I", counts)))
+        total.update(counts + counts if 2 * u % N else counts)
+    return total, lambda pcs: [u for u, keys in per_u if not pcs.isdisjoint(keys)]
+
+
 def _auto_transform(planes: list[int], N: int) -> tuple[Counter, Callable[[set], tuple]]:
     """Counts of popcount(s_i ^ rotate(s_i, u)) over every (i, u), 0 < u < N, s_i
     row i of span(planes)[1:], and first(pcs): the lexicographically first (i, u)
     whose popcount is in pcs.  Row i's value at u is row i of the span of the
-    planes' deltas.  A_u = A_{N-u}: u <= N/2 is swept, on windows of p|p<<N,
-    counted twice if 2u != N."""
+    planes' deltas.  A_u = A_{N-u}: u <= N/2 is swept, on windows of p|p<<N."""
     mask = (1 << N) - 1
 
     def values(u: int) -> Iterator[int]:
         return map(int.bit_count, span([p ^ (p | p << N) >> u & mask for p in planes])[1:])
-    per_u, total = [], Counter()
-    for u in range(1, N // 2 + 1):
-        counts = Counter(values(u))
-        per_u.append(array("I", counts))  # the keys, without holding the Counter
-        total.update(counts + counts if 2 * u != N else counts)
+    total, where = _per_delay(lambda u: Counter(values(u)), range(1, N // 2 + 1), N)
     return total, lambda pcs: min(
-        (next(i for i, pc in enumerate(values(u)) if pc in pcs), u)
-        for u, keys in enumerate(per_u, 1) if not pcs.isdisjoint(keys))
+        (next(i for i, pc in enumerate(values(u)) if pc in pcs), u) for u in where(pcs))
 
 
 def _lane_counter(lanes: int, w: int) -> Callable[[bytes], Counter]:
@@ -161,9 +166,9 @@ def _cross_transform(planes: list[int], N: int) -> tuple[Counter, Callable[[int]
     and first(pc): the lexicographically first (i, j, u) with i < j where pc occurs.
 
     Row b reads bucket b + 1, so the planes need not be independent.  Delay
-    u <= N/2 of the ordered pair (i, b) also stands for (b, i, N-u), so it
-    counts twice when 0 < u < N/2.  A lane holds popcount(s_i ^ rot(s_b, u))
-    = (N - C_u) / 2 in [0, N], below 2^w - 1, the diagonal's low w bits.
+    u <= N/2 of the ordered pair (i, b) also stands for (b, i, N-u).  A lane
+    holds popcount(s_i ^ rot(s_b, u)) = (N - C_u) / 2 in [0, N], below 2^w - 1,
+    the diagonal's low w bits.
     """
     bits = span(planes)[1:]
     M, w = len(bits), (N + 1).bit_length()
@@ -184,16 +189,17 @@ def _cross_transform(planes: list[int], N: int) -> tuple[Counter, Callable[[int]
         out[0::2 * M + 2] = out[1::2 * M + 2] = b"\xff" * M  # _DIAGONAL where i = b
         return out
 
-    per_u, total, count = [], Counter(), _lane_counter(M * M, w)
-    for u in range(N // 2 + 1):
-        counts = count(lanes(u))
-        del counts[(1 << w) - 1]  # the diagonal
-        per_u.append(array("I", counts))  # the keys, without holding the Counter
-        total.update(counts + counts if 2 * u % N else counts)
+    count = _lane_counter(M * M, w)
+
+    def counts(u: int) -> Counter:
+        c = count(lanes(u))
+        del c[(1 << w) - 1]  # the diagonal
+        return c
+    total, where = _per_delay(counts, range(N // 2 + 1), N)
 
     def first(pc: int) -> tuple[int, int, int]:
         hits, key = [], int.from_bytes(pc.to_bytes(2, "little"), sys.byteorder)  # pc's lane
-        for u in (u for u, keys in enumerate(per_u) if pc in keys):
+        for u in where({pc}):
             pcs, k = array("H", lanes(u)), -1  # native byte order
             for _ in range(pcs.count(key)):
                 k = pcs.index(key, k + 1)
@@ -301,21 +307,6 @@ def family_correlation(family: SequenceFamily, sampled: int | None = None,
 # ----------------------------------------------------------------------
 # Cyclic linear complexity.
 
-def linear_complexity_cyclic(s: int, N: int) -> int:
-    """Smallest ell with a length-ell recurrence killing all cyclic shifts:
-    N - deg gcd(S(x), x^N + 1).  At N = 2^k, Games-Chan: a period whose halves
-    L, R differ has complexity N/2 + that of L ^ R, else that of L."""
-    if s == 0:
-        raise ValidationError("zero sequence has no linear complexity")
-    if N & N - 1:
-        return N + 1 - poly_gcd(s, (1 << N) | 1).bit_length()
-    lc = 0
-    for h in (N >> k for k in range(1, N.bit_length())):
-        low, high = s & (1 << h) - 1, s >> h
-        lc, s = (lc + h, low ^ high) if low != high else (lc, low)
-    return lc + s
-
-
 def lc_bound_check(lc_min: int, q: int, t: int, d: int) -> bool:
     """lc_min >= (q+1+2t-2(d+1)*sqrt(q)) / (2d*sqrt(q)), compared exactly.
 
@@ -340,27 +331,32 @@ def lc_bound_ceil(q: int, t: int, d: int) -> int:
 def family_linear_complexity(family: SequenceFamily) -> LinearComplexityReport:
     """Per-row cyclic linear complexity; asserts the family lower bound.
 
-    At N = 2^k each row runs Games-Chan.  Otherwise gcd(s, x^N + 1) divides G =
-    gcd(x^N + 1, product of the rows), so it is gcd(G, s mod G).  The product is
-    that of beta = L(p) over the planes p in order, L the subspace polynomial of
-    the planes before p, and the residues are the span of the planes'.  Zero rows
-    report 0 and are held to the bound; only six built families have them
+    N - LC(s) = deg gcd(s, x^N + 1), read from s's image under a linear map, so
+    from the span of the planes' images.  At N = 2^k, x^N + 1 = (x + 1)^N, the map
+    is s(x + 1), bit j the XOR of s_i over i & j = j (Lucas), and the gcd its
+    lowest set bit.  Else the map is s mod G, G = gcd(x^N + 1, the rows' product,
+    that of beta = L(p) over the planes p, L the subspace polynomial of those
+    before p), a multiple of the gcd.  Zero rows report 0 and are held to the
+    bound; only six built families have them
     (tests: test_planes_are_independent_but_at_six_vacuous_families)."""
     N, bits, planes = family.N, family.bits, family.planes
     if not any(bits):
         raise ValidationError("zero sequence family has no linear complexity")
+    mask = (1 << N) - 1
     if N & N - 1 == 0:
-        lcs = [linear_complexity_cyclic(s, N) if s else 0 for s in bits]
+        image, gcd = planes, lambda c: c & -c
+        for h in (1 << k for k in range(N.bit_length() - 1)):
+            low = mask // ((1 << 2 * h) - 1) * ((1 << h) - 1)  # bits j with j & h = 0
+            image = [p ^ p >> h & low for p in image]
     else:
-        mask = (1 << N) - 1
         product, ys = 1, planes  # ys: L at each later plane; L(p + q) = L(p) + L(q)
         while ys:
             beta, *ys = ys
             product, *ys = [(p & mask) ^ p >> N  # mod x^N + 1
                             for p in [clmul(product, beta), *(clmul(y, y ^ beta) for y in ys)]]
         G = poly_gcd((1 << N) | 1, product)
-        residues = span([poly_mod(p, G) for p in planes])[1:]
-        lcs = [N + 1 - poly_gcd(G, r).bit_length() if s else 0 for s, r in zip(bits, residues)]
+        image, gcd = [poly_mod(p, G) for p in planes], lambda r: poly_gcd(G, r)
+    lcs = [N + 1 - gcd(c).bit_length() if s else 0 for s, c in zip(bits, span(image)[1:])]
     lc_min = min(lcs)
     if not lc_bound_check(lc_min, family.q, family.t, family.d):
         raise BoundViolationError(

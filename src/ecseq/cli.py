@@ -141,7 +141,7 @@ def cmd_admissible(args) -> int:
     sizes = family_sizes(args.n)
     rows = []
     for t in admissible_t(args.n):
-        ds = [d for d in (2, 3) if (t, d) in sizes]
+        ds = [d for tt, d in sizes if tt == t]
         rows.append({"t": t, "N": (1 << args.n) + 1 + t, "d_choices": ds,
                      "family": "ordinary" if t % 2 else "supersingular"})
     _emit({"n": args.n, "q": 1 << args.n, "rows": rows}, args.out)
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="run the full construction and write an ECSEQ file")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--t", type=int, required=True)
-    g.add_argument("--d", type=int, required=True, choices=(2, 3))
+    g.add_argument("--d", type=int, required=True)
     g.add_argument("--out")
     g.set_defaults(func=cmd_generate)
 

@@ -11,8 +11,8 @@ by extended Euclid.  Every GF(2)-linear map (reduction mod the modulus,
 q-Frobenius, square root, embedding, the quadratic solver's root map) is a
 :func:`linear_map`, two :func:`span` tables of 2^(m/2) entries each.  Only
 the place oracle builds an extension's log/exp tables
-(:meth:`FieldContext.build_tables`); MAX_EXT_DEGREE bounds them, and
-:func:`make_ext` is the one place that cap is checked.
+(:meth:`FieldContext.build_tables`); MAX_EXT_DEGREE bounds them, checked by
+:func:`make_ext`, and family.family_sizes lists only families within it.
 
 Field elements serialize as lowercase hex of the coefficient bit vector;
 a context serializes as ``{"n": ..., "modulus": <hex>}``.

@@ -13,8 +13,7 @@ from ecseq import analysis
 from ecseq.analysis import (BoundViolationError, corr_bound,
                             counting_identity_check, exhaustive_allowed,
                             family_correlation, family_linear_complexity,
-                            lc_bound_ceil, lc_bound_check,
-                            linear_complexity_cyclic)
+                            lc_bound_ceil, lc_bound_check)
 from ecseq.family import SequenceFamily
 from ecseq.gf2 import ValidationError, clmul, poly_gcd, span
 from oracles import (auto_report, brute_lc, corr, counter_cross_transform, rotate,
@@ -354,10 +353,17 @@ def test_single_sequence_family_degenerate():
 
 # -- cyclic linear complexity ------------------------------------------------
 
+def one_plane_lc(s, N):
+    """family_linear_complexity of the one-row family (s,), whose bound holds
+    at any complexity (q = 4, t = 1, d = 2)."""
+    fam = SequenceFamily(n=2, t=1, d=2, N=N, planes=(s,))
+    return family_linear_complexity(fam).lc_per_sequence[0]
+
+
 def test_lc_matches_brute_force_on_family():
     fam = cached_family(3, 4, 2)
     for s in fam.bits:
-        assert linear_complexity_cyclic(s, fam.N) == brute_lc(s, fam.N)
+        assert one_plane_lc(s, fam.N) == brute_lc(s, fam.N)
 
 
 def test_lc_matches_brute_force_random():
@@ -365,19 +371,19 @@ def test_lc_matches_brute_force_random():
     for N in (2, 4, 5, 8, 13, 15):
         for _ in range(25):
             s = rng.randrange(1, 1 << N)
-            assert linear_complexity_cyclic(s, N) == brute_lc(s, N), (N, bin(s))
+            assert one_plane_lc(s, N) == brute_lc(s, N), (N, bin(s))
 
 
 def test_lc_edge_cases():
-    assert linear_complexity_cyclic((1 << 13) - 1, 13) == 1
-    assert linear_complexity_cyclic(1, 13) == 13
+    assert one_plane_lc((1 << 13) - 1, 13) == 1
+    assert one_plane_lc(1, 13) == 13
     with pytest.raises(ValidationError):
-        linear_complexity_cyclic(0, 13)
+        one_plane_lc(0, 13)
 
 
 def test_lc_games_chan_matches_gcd_formula():
-    # N = 2^k runs Games-Chan's halvings; multiples of (x + 1)^e reach every
-    # complexity below N, and the zero row is refused as at any other N
+    # N = 2^k reads the low zero bits of s(x + 1); multiples of (x + 1)^e reach
+    # every complexity below N, and the zero row is refused as at any other N
     rng = random.Random(16)
     for N in (1 << k for k in range(11)):
         rows = [1, (1 << N) - 1] + [rng.randrange(1, 1 << N) for _ in range(20)]
@@ -388,9 +394,9 @@ def test_lc_games_chan_matches_gcd_formula():
             rows.append(s)
         for s in rows:
             want = N + 1 - poly_gcd(s, 1 << N | 1).bit_length()
-            assert linear_complexity_cyclic(s, N) == want, (N, s)
+            assert one_plane_lc(s, N) == want, (N, s)
         with pytest.raises(ValidationError):
-            linear_complexity_cyclic(0, N)
+            one_plane_lc(0, N)
 
 
 def test_lc_bound_exact_arithmetic():
@@ -420,7 +426,7 @@ def test_family_lc_zero_row_reported_as_zero():
     s = random.Random(7).getrandbits(64)
     fam = SequenceFamily(n=6, t=-1, d=3, N=64, planes=(0, s))
     rep = family_linear_complexity(fam)
-    lc = linear_complexity_cyclic(s, 64)
+    lc = 64 + 1 - poly_gcd(s, 1 << 64 | 1).bit_length()
     assert rep.lc_per_sequence == [0, lc, lc]
     assert rep.lc_min == 0
 
@@ -435,8 +441,9 @@ def test_family_lc_zero_family_raises():
 def lc_families(draw):
     # span(planes)[1:] as gen_family writes them: planes that share a factor
     # of x^N + 1, here (x + 1)^e or x^3 + x + 1 (a factor when 7 | N), give
-    # the modulus G a positive degree, and dependent planes a zero product
-    N = draw(st.sampled_from([7, 13, 21, 34, 35, 63]) | st.integers(2, 70))
+    # the modulus G a positive degree, and dependent planes a zero product;
+    # N = 16, 32 and 64 draw dependent planes often on the N = 2^k path
+    N = draw(st.sampled_from([7, 13, 16, 21, 32, 34, 35, 63, 64]) | st.integers(2, 70))
     mask = (1 << N) - 1
     factor, e = draw(st.sampled_from([0b11, 0b1011])), draw(st.integers(0, 5))
     planes = []

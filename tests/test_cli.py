@@ -59,7 +59,7 @@ def test_admissible_lists_exactly_what_generate_accepts(tmp_path, monkeypatch):
     for n in range(MIN_DEGREE, MAX_DEGREE + 1):
         assert run(["admissible", "--n", n, "--out", out]) == 0
         for row in json.loads(out.read_text())["rows"]:
-            for d in (2, 3):
+            for d in (1, 2, 3, 4):
                 argv = ["generate", "--n", n, "--t", row["t"], "--d", d, "--out", out]
                 if d in row["d_choices"]:
                     with pytest.raises(_Searched):
