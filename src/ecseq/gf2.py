@@ -10,9 +10,9 @@ arithmetic.  An extension is carry-less: it multiplies by clmul and inverts
 by extended Euclid.  Every GF(2)-linear map (reduction mod the modulus,
 q-Frobenius, square root, embedding, the quadratic solver's root map) is a
 :func:`linear_map`, two :func:`span` tables of 2^(m/2) entries each.  Only
-the place oracle builds an extension's log/exp tables
-(:meth:`FieldContext.build_tables`); MAX_EXT_DEGREE bounds them, checked by
-:func:`make_ext`, and family.family_sizes lists only families within it.
+a base field builds log/exp tables (:meth:`FieldContext.build_tables`);
+MAX_EXT_DEGREE bounds an extension, checked by :func:`make_ext`, and
+family.family_sizes lists only families within it.
 
 Field elements serialize as lowercase hex of the coefficient bit vector;
 a context serializes as ``{"n": ..., "modulus": <hex>}``.
@@ -26,7 +26,7 @@ from operator import add, sub
 
 MIN_DEGREE = 2
 MAX_DEGREE = 12
-MAX_EXT_DEGREE = 20  # q^d <= 2^20: the largest extension, and so the oracle's log/exp tables
+MAX_EXT_DEGREE = 20  # q^d <= 2^20: the largest extension, and the place oracle's longest sequence
 
 
 class ValidationError(ValueError):
@@ -221,8 +221,7 @@ class FieldContext:
         if self._exp:
             return
         order = self.q - 1
-        gamma = next(g for g in range(2, self.q)
-                     if all(self._clmul_pow(g, order // p) != 1 for p in factorize(order)))
+        gamma = self.primitive_element()
         # a -> a*gamma is GF(2)-linear; its lookup stays inline rather than a
         # linear_map call, which would add a function call to each of the
         # loop's q - 1 steps (2^20 at the cap)
@@ -238,6 +237,11 @@ class FieldContext:
             acc = lo[acc & low] ^ hi[acc >> h]
         assert acc == 1
         self._exp, self._log = exp, log
+
+    def primitive_element(self) -> int:
+        """The smallest primitive element, by table-free powers."""
+        return next(g for g in range(2, self.q) if all(
+            self._clmul_pow(g, (self.q - 1) // p) != 1 for p in factorize(self.q - 1)))
 
     def _clmul_mod(self, a: int, b: int) -> int:
         """a*b without tables: poly_mod(clmul(a, b), modulus)."""
@@ -330,9 +334,9 @@ class ExtFieldContext(FieldContext):
     ``embed_image``, the smallest root (by integer representation) of the
     base modulus inside the extension.
 
-    Its arithmetic is table-free (build_tables serves the place oracle);
-    embed, the ring embedding GF(2^n) -> GF(2^(n*d)), and its inverse,
-    decode, are linear maps.
+    Its arithmetic is table-free, and nothing in the package builds its
+    tables; embed, the ring embedding GF(2^n) -> GF(2^(n*d)), and its
+    inverse, decode, are linear maps.
     """
 
     def __init__(self, base: FieldContext, d: int):
@@ -352,14 +356,17 @@ class ExtFieldContext(FieldContext):
         self.frobenius_q = linear_map(images[self.base.n % self.n])
         self.sqrt = linear_map(images[-1])
 
+    def subfield(self, e: int) -> list[int]:
+        """GF(q^e), e | d, in increasing order: the kernel of a -> a^(q^e) + a."""
+        cols = [functools.reduce(lambda a, _: self.frobenius_q(a), range(e), 1 << i) ^ 1 << i
+                for i in range(self.n)]
+        return sorted(span(GF2Solver(cols).null_combos))
+
     def _find_embed_image(self) -> int:
-        # The roots of the base modulus lie in the subfield, the kernel of
-        # a -> a^(2^n) + a: scan it in increasing order up to the first root.
-        cols = [self.frobenius_q(1 << i) ^ (1 << i) for i in range(self.n)]
-        basis = GF2Solver(cols).null_combos
-        assert len(basis) == self.base.n
-        p = self.base.modulus
-        return next(e for e in sorted(span(basis)) if e and not functools.reduce(  # Horner
+        # the roots of the base modulus lie in GF(q): the least is the image
+        sub, p = self.subfield(1), self.base.modulus
+        assert len(sub) == self.base.q
+        return next(e for e in sub if e and not functools.reduce(  # Horner
             lambda r, i: self.mul(r, e) ^ (p >> i) & 1, range(self.base.n, -1, -1), 0))
 
     def decode(self, e: int) -> int:

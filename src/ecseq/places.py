@@ -10,12 +10,13 @@ relies on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from operator import xor
+from operator import or_, xor
 
 from .curves import INFINITY, Curve, Point, _sort_key
-from .gf2 import ExtFieldContext, ValidationError, elem_to_hex, factorize
+from .gf2 import ExtFieldContext, GF2Solver, ValidationError, elem_to_hex, factorize, linear_map
 
 
 @dataclass(frozen=True)
@@ -96,63 +97,69 @@ def frobenius_orbit(ext: ExtFieldContext, P: Point) -> tuple[Point, ...]:
 # The place oracle: the size-d Frobenius orbits of E(GF(q^d)), found from
 # field arithmetic alone.  It never uses the zeta-function side above (N,
 # t, the power sums or Moebius inversion), so it can check that side.  The
-# x values of a point orbit form one q-Frobenius orbit of x, so the sweep
-# goes by x:
-#   * x whose x-orbit has size d: one leader per x-orbit.  The fibre over
-#     it, y^2 + c*y = u, has k points: 1 if c = 0, else 2 if Tr(u/c^2) = 0
-#     and none if it is 1.  They lie in k distinct point orbits of size d.
-#   * x in a proper subfield GF(q^e), e | d (few), and O: their orbits are
-#     followed point by point with frobenius_orbit.
+# x values of a point orbit form one q-Frobenius orbit of x, so:
+#   * O, x in a proper subfield GF(q^e), e | d, and x0 in GF(q), the one x
+#     the sweep misses: their orbits are followed with frobenius_orbit.
+#   * any other x has an x-orbit of size d, and c = a1*x + a3 != 0.  Its
+#     fibre y^2 + c*y = u holds 2 points if Tr(u/c^2) = 0 and none if it is
+#     1: one trace sequence gives Tr(u/c^2) for all these x at once.
 
-def _leader_fibres(curve: Curve, ext: ExtFieldContext) -> list[tuple[int, int, int]]:
-    """(x, c, u) for one x of each size-d x-orbit whose fibre y^2 + c*y = u
-    is nonempty; the fibre holds 1 point if c = 0, else 2.
+def _fibre_zeros(curve: Curve, ext: ExtFieldContext) -> tuple[int, int, int, int]:
+    """(gamma, b, x0, zeros): each x but x0 is b*gamma^L + x0 for one L < q^d - 1,
+    and bit L of zeros is set when Tr(u/c^2) = 0 and x is in no proper subfield.
 
-    With x = gamma^L, the q-Frobenius multiplies L by q modulo q^d - 1, so
-    the leader is the L below each L*q^i, 0 < i < d (an L equal to one of
-    them has a shorter x-orbit).  The fibre test is Tr(u/c^2) = 0, as in
-    FieldContext.solve_quadratic, in log-table arithmetic: the oracle alone
-    builds and reads the extension's log/exp tables.
+    Tr(a*gamma^L) over all L, with a = sum c_i*gamma^i, is the XOR of the
+    windows at the set bits of c of s_k = Tr(gamma^k), held as one int.  So
+    is s's own window at K, from a = gamma^K: 2m bits of s double until they
+    span a period and m bits more.  If a1 != 0, gamma^L is c and u/c^2 =
+    A*c + B + C/c + D/c^2, so Tr(u/c^2) = Tr(A*c) + Tr(B) + Tr((C + sqrt(D))/c).
+    If a1 = 0, gamma^L is x: Tr(u/a3^2) = Tr(x^3/a3^2) + Tr(a6/a3^2) +
+    Tr((sqrt(a2)/a3 + a4/a3^2)*x).  1/c and x^3 take reversed and 3-decimated windows.
     """
-    ext.build_tables()
-    exp, log, order = ext._exp, ext._log, ext.q - 1
-    logs = range(order)
-    for i in range(1, ext.d):
-        qi = ext.base.q ** i
-        logs = [L for L in logs if L < L * qi % order]
     a1, a2, a3, a4, a6 = curve.coeffs_in(ext)
+    gamma, mul, sqrt, m, order = ext.primitive_element(), ext.mul, ext.sqrt, ext.n, ext.q - 1
+    coords = GF2Solver([ext.pow(gamma, i) for i in range(m)]).lookup(m)
 
-    def times(a: int, k: int) -> list[int]:  # a * x^k for every leader x
-        if not a:
-            return [0] * len(logs)
-        return [exp[(k * L + log[a]) % order] for L in logs]
+    def traces(s: int, a: int, width: int) -> int:  # bit j: Tr(a*gamma^j)
+        c = coords(a)
+        return functools.reduce(xor, (s >> i for i in range(m) if c >> i & 1), 0) & (1 << width) - 1
 
-    cs = times(a1, 1)
-    us = map(xor, map(xor, times(1, 3), times(a2, 2)), times(a4, 1))
-    tm = ext.trace_mask
-    out = []
-    for L, c, u in zip(logs, cs, us):
-        c ^= a3
-        u ^= a6
-        if not c or not u or not (exp[(log[u] - 2 * log[c]) % order] & tm).bit_count() & 1:
-            out.append((exp[L], c, u))
-    return out
+    s, known = sum(ext.trace(ext.pow(gamma, k)) << k for k in range(2 * m)), 2 * m
+    while known < order + m:
+        s |= traces(s, ext.pow(gamma, known), known - m + 1) << known
+        known += known - m + 1
+
+    def window(a: int, e: int) -> int:  # bit L: Tr(a*gamma^(e*L)), e in (1, -1, 3)
+        bits = format(traces(s, a, order), f"0{order}b")[::-1]  # bits[k]: Tr(a*gamma^k)
+        return int((bits[0] + bits[:0:-1] if e == -1 else (bits * e)[::e])[::-1], 2)
+
+    if a1:
+        b = ext.inv(a1)
+        x0, b2 = mul(b, a3), mul(b, b)  # x = b*c + x0: A = b^3, B = b^2*(x0 + a2),
+        x02 = mul(x0, x0)                # C = b*(x0^2 + a4), D = u(x0)
+        D = mul(x0 ^ a2, x02) ^ mul(a4, x0) ^ a6
+        f = window(mul(b, b2), 1) ^ window(mul(b, x02 ^ a4) ^ sqrt(D), -1)
+        const = mul(b2, x0 ^ a2)
+    else:
+        b, x0, k = 1, 0, ext.inv(mul(a3, a3))
+        f = window(k, 3) ^ window(mul(sqrt(a2), ext.inv(a3)) ^ mul(a4, k), 1)
+        const = mul(a6, k)
+    walked = functools.reduce(or_, (  # bits L with gamma^L in GF(q^e): the multiples of p
+        int(("0" * (p - 1) + "1") * (order // p), 2) for p in (
+            order // (ext.base.q ** e - 1) for e in range(1, ext.d) if ext.d % e == 0)), 0)
+    zeros = (f if ext.trace(const) else ~f) & ~walked & (1 << order) - 1
+    return gamma, b, x0, zeros
 
 
-def _subfield_orbits(curve: Curve, ext: ExtFieldContext) -> list[tuple[Point, ...]]:
-    """The size-d point orbits over x in the proper subfields of GF(q^d),
-    and (O,) when d = 1."""
-    ext.build_tables()
-    d, order = ext.d, ext.q - 1
-    logs = {L for e in range(1, d) if d % e == 0
-            for L in range(0, order, order // (ext.base.q ** e - 1))}
-    seen: set[Point] = set()
-    orbits = []
-    for P in (INFINITY, *curve.iter_points(ext, [0, *(ext._exp[L] for L in logs)])):
+def _walked_orbits(curve: Curve, ext: ExtFieldContext, x0: int) -> list[tuple[Point, ...]]:
+    """The size-d point orbits over x0 and the proper subfields, and (O,) when d = 1."""
+    es = [e for e in range(1, ext.d) if ext.d % e == 0]
+    xs, seen, orbits = set().union([x0], *map(ext.subfield, es)), set(), []
+    for P in (INFINITY, *curve.iter_points(ext, xs)):
         if P not in seen:
             orbit = frobenius_orbit(ext, P)
             seen.update(orbit)
-            if len(orbit) == d:
+            if len(orbit) == ext.d:
                 orbits.append(orbit)
     return orbits
 
@@ -161,28 +168,34 @@ def count_place_orbits(curve: Curve, ext: ExtFieldContext, d: int) -> int:
     """Oracle: the number of size-d Frobenius orbits of E(GF(q^d)).
 
     Counts what :func:`enumerate_places_deg_d` lists, without building the
-    points: each x-orbit leader adds its fibre size.
+    points: the swept x carry 2 points per zero of Tr(u/c^2), d to an orbit.
     """
     assert ext.d == d
-    return (len(_subfield_orbits(curve, ext))
-            + sum(1 if c == 0 else 2 for _, c, _ in _leader_fibres(curve, ext)))
+    _, _, x0, zeros = _fibre_zeros(curve, ext)
+    return len(_walked_orbits(curve, ext, x0)) + 2 * zeros.bit_count() // d
 
 
 def enumerate_places_deg_d(curve: Curve, ext: ExtFieldContext, d: int) -> list[tuple[Point, ...]]:
     """Oracle: all size-d Frobenius orbits of E(GF(q^d)), irregular included.
 
     Each orbit is rotated so its smallest (x, y) point comes first; the list
-    is sorted by that representative.  y is solved for only over x-orbit
-    leaders with a nonempty fibre.
+    is sorted by that representative.  Over the swept x, y is solved for at
+    the least L of each orbit L*q^i of zeros, with gamma^L a running product.
     """
     assert ext.d == d
-    orbits = _subfield_orbits(curve, ext)
-    for x, c, u in _leader_fibres(curve, ext):
-        for y in ext.solve_quadratic(c, u):
-            orbit = [Point(x, y)]  # the x-orbit has size d, so the point orbit does
-            while len(orbit) < d:
-                orbit.append(point_frobenius(ext, orbit[-1]))
-            orbits.append(tuple(orbit))
+    gamma, b, x0, zeros = _fibre_zeros(curve, ext)
+    order, qis = ext.q - 1, [ext.base.q ** i for i in range(1, d)]
+    xs, g, times_gamma = [], 1, linear_map([ext.mul(1 << i, gamma) for i in range(ext.n)])
+    for L, bit in enumerate(format(zeros, f"0{order}b")[::-1]):
+        if bit == "1" and all(L < L * qi % order for qi in qis):
+            xs.append(ext.mul(b, g) ^ x0)
+        g = times_gamma(g)
+    orbits = _walked_orbits(curve, ext, x0)
+    for P in curve.iter_points(ext, xs):
+        orbit = [P]  # the x-orbit has size d, so the point orbit does
+        while len(orbit) < d:
+            orbit.append(point_frobenius(ext, orbit[-1]))
+        orbits.append(tuple(orbit))
     for j, orbit in enumerate(orbits):
         keys = list(map(_sort_key, orbit))
         k = keys.index(min(keys))

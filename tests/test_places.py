@@ -1,6 +1,10 @@
 """Degree-d places: counting formula vs enumeration, regularity, translation."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,8 +77,9 @@ def test_count_place_orbits_matches_enumeration(n):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_oracle_on_general_weierstrass_models(n):
-    # a1 and a3 both nonzero: c = a1*x + a3 vanishes at x = a3/a1, so the
-    # fibre over it is one point (a leader only when d = 1)
+    # a1 and a3 both nonzero: c = a1*x + a3 vanishes at x = a3/a1 in GF(q),
+    # whose one-point fibre the oracle walks point by point; the trace sweep
+    # takes c = gamma^L and 1/c from reversed windows of the trace sequence
     ctx = make_field(n)
     rng = random.Random(n)
     curves = []
@@ -84,21 +89,54 @@ def test_oracle_on_general_weierstrass_models(n):
         except ValidationError:  # singular
             pass
     for curve in curves:
-        for d in (1, 2, 3):
+        for d in (1, 2, 3, 4):
             ext = make_ext(ctx, d)
+            count = count_place_orbits(curve, ext, d)
+            assert count == count_places_formula(ctx.q, curve.t, d), (curve, d)
+            if n * d > 12:  # at q^d = 2^16 the per-point oracle takes about 1.4 s a curve
+                continue
             orbits = enumerate_places_deg_d(curve, ext, d)
             assert orbits == [(INFINITY,)] * (d == 1) + per_point_enumeration(curve, ext, d)
-            assert (count_place_orbits(curve, ext, d) == len(orbits)
-                    == count_places_formula(ctx.q, curve.t, d)), (curve, d)
+            assert count == len(orbits), (curve, d)
 
 
 def test_place_count_formula_equals_enumeration_sweep():
-    for n, d in [(3, 2), (4, 2), (4, 3)]:
-        for t in admissible_t(n)[::3]:
+    # composite and larger d too: their proper subfields GF(q^e) nest
+    for n, d in [(3, 2), (4, 2), (4, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 6)]:
+        ts = admissible_t(n)[::3]
+        for t in ts if n * d <= 16 else ts[:1]:  # q^d = 2^18 takes about 1 s a curve
             curve, _ = cached_curve(n, t)
             ext = make_ext(curve.ctx, d)
             assert (count_places_formula(1 << n, t, d)
                     == len(enumerate_places_deg_d(curve, ext, d))), (n, t, d)
+
+
+def test_place_count_oracle_equals_formula_at_larger_q():
+    # every admissible t at n = 7..9, and the cap's q = 1024: the count alone,
+    # as count-places --verify runs it, for the sweep of 2^(2n) - 1 positions
+    checked = 0
+    for n, ts in [(7, admissible_t(7)), (8, admissible_t(8)), (9, admissible_t(9)), (10, [32])]:
+        for t in ts:
+            curve, _ = cached_curve(n, t)
+            ext = make_ext(curve.ctx, 2)
+            assert count_place_orbits(curve, ext, 2) == count_places_formula(1 << n, t, 2), (n, t)
+            checked += 1
+    assert checked == 110
+
+
+def test_place_oracle_builds_no_extension_tables():
+    # make_ext is cached in this process, so count in a fresh interpreter
+    root = Path(__file__).resolve().parents[1]
+    code = ("from ecseq.curves import CurveSearchSpec, search_cyclic_curve\n"
+            "from ecseq.gf2 import make_ext, make_field\n"
+            "from ecseq.places import count_place_orbits\n"
+            "curve, _ = search_cyclic_curve(CurveSearchSpec(6, -1))\n"
+            "ext = make_ext(make_field(6), 3)\n"
+            "print(count_place_orbits(curve, ext, 3), len(ext._exp), len(ext._log))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(count_places_formula(64, -1, 3)), "0", "0"]
 
 
 def test_degree_one_count_is_point_count():
