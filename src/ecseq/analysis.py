@@ -2,9 +2,10 @@
 
 Sequences are ints with bit j = s_j, and C_u(a, b) = N - 2*popcount(a XOR
 rot(b, u)).  A family holds its planes (SequenceFamily.planes), its rows being
-span(planes)[1:], and exhaustive sweeps take one pass per delay u <= N/2 over it.
-s -> s XOR rot(s, u) is linear, so every row's autocorrelation at u is in the
-span of the planes' deltas.  For the cross sweep, with col_j the planes' bits
+span(planes)[1:], and exhaustive sweeps take one pass per delay u <= N/2 over it,
+a long sweep's delays dealt over one forked process per CPU.  s -> s XOR
+rot(s, u) is linear, so every row's autocorrelation at u is in the span of the
+planes' deltas.  For the cross sweep, with col_j the planes' bits
 at position j, C_u(s_i, s_b) is the Walsh-Hadamard transform at b + 1 of the
 buckets P[col_{j+u}] += (-1)^s_i(j), one 16-bit lane per row i, counted by bit
 planes, and C_u(a, b) = C_{N-u}(b, a) gives u > N/2.  Sampled mode replays
@@ -15,10 +16,12 @@ reads their images' span: s(x+1) at N = 2^k, else s mod gcd(x^N+1, the rows' pro
 
 from __future__ import annotations
 
+import marshal
 import math
 import os
 import random
 import sys
+import time
 from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
@@ -29,6 +32,7 @@ from .gf2 import ValidationError, clmul, poly_gcd, poly_mod, span, walsh_hadamar
 
 DEFAULT_BUDGET_MS = 10_000  # estimated exhaustive sweep time allowed without ECSEQ_BUDGET_MS
 _OPS_PER_MS = 3500  # exhaustive lane operations per ms, at or below the slowest measured
+_FORK_AFTER_S = 0.1  # a per-delay sweep forks once the delays after its first would take this long
 _SAMPLE_BLOCK = 4096  # sampled probes held in memory at a time
 _DIAGONAL = 0xFFFF  # marks i = b in the cross sweep's 16-bit lanes, which need 2N < it
 _TRANSPOSE = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
@@ -92,7 +96,9 @@ class LinearComplexityReport:
 def exhaustive_allowed(family: SequenceFamily) -> bool:
     """Budget gate for the exhaustive sweep: M * (M+1) * (N//2 + 1) lane
     operations, M + 1 buckets per row and delay, at _OPS_PER_MS must fit in
-    ECSEQ_BUDGET_MS, or DEFAULT_BUDGET_MS if unset; N must fit the 16-bit lanes."""
+    ECSEQ_BUDGET_MS, or DEFAULT_BUDGET_MS if unset; N must fit the 16-bit lanes.
+    The estimate is one process's, not divided over the CPUs the sweep may
+    fork onto, so the exhaustive/sampled choice is the same on every machine."""
     env = os.environ.get("ECSEQ_BUDGET_MS")
     if env and not (env.isascii() and env.isdigit() and len(env) <= 18):
         shown = env if len(env) <= 20 else env[:20] + "..."
@@ -102,14 +108,71 @@ def exhaustive_allowed(family: SequenceFamily) -> bool:
     return 2 * family.N < _DIAGONAL and family.M * (family.M + 1) * (family.N // 2 + 1) <= budget
 
 
+def _dealt(count: Callable, us: range) -> list[dict]:
+    """[count(u) for u in us].  The first delay runs here and is timed; if the
+    rest would take _FORK_AFTER_S or more at that rate, they are dealt
+    round-robin over this process and one forked child per further CPU it may
+    run on, unless it runs a second thread.  A child marshals its share's
+    counts back through a pipe and leaves by os._exit; a share whose child
+    fails, or cannot be forked, is counted here, so any exception is raised
+    here.  Every child is reaped on return."""
+    start = time.perf_counter()
+    out = {u: count(u) for u in us[:1]}
+    rest, k = us[1:], 1
+    threading = sys.modules.get("threading")  # forking a process with threads is unsafe
+    if (hasattr(os, "fork") and (threading is None or threading.active_count() == 1)
+            and (time.perf_counter() - start) * len(rest) >= _FORK_AFTER_S):
+        k = max(1, min(len(os.sched_getaffinity(0)), len(rest)))
+    shares, children = [rest[i::k] for i in range(k)], {}  # pid: (read end, share)
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                status = 1
+                try:
+                    with open(w, "wb") as pipe:
+                        pipe.write(marshal.dumps([dict(count(u)) for u in share]))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children[pid] = (open(r, "rb"), share)
+        for share in [shares[0], *shares[1 + len(children):]]:
+            out.update((u, count(u)) for u in share)
+        for pid, (pipe, share) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            os.waitpid(pid, 0)
+            del children[pid]
+            try:
+                counts = marshal.loads(data)  # a child that failed wrote none or a prefix
+            except EOFError:
+                counts = map(count, share)
+            out.update(zip(share, counts))
+    finally:
+        for pid, (pipe, _) in children.items():  # left by an exception
+            import signal
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [out[u] for u in us]
+
+
 def _per_delay(count: Callable, us: range, N: int) -> tuple[Counter, Callable]:
     """count(u) totalled over us, twice where 2u % N != 0 as u stands for N - u
     too, and where(pcs): the delays whose counts (only keys kept) hold a pc."""
     per_u, total = [], Counter()
-    for u in us:
-        counts = count(u)
+    for u, counts in zip(us, _dealt(count, us)):
         per_u.append((u, array("I", counts)))
-        total.update(counts + counts if 2 * u % N else counts)
+        total.update(counts)
+        if 2 * u % N:
+            total.update(counts)
     return total, lambda pcs: [u for u, keys in per_u if not pcs.isdisjoint(keys)]
 
 

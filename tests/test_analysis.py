@@ -1,7 +1,9 @@
 """Correlation sweeps, cyclic linear complexity, and bound checks."""
 
+import os
 import random
 import re
+import threading
 from collections import Counter
 
 import pytest
@@ -149,7 +151,9 @@ def test_lane_counter_matches_counter(w_lanes):
 @pytest.mark.parametrize("n,t,d", [(8, -16, 2), (8, 16, 2), (4, -1, 3), (2, -2, 2)])
 def test_cross_transform_matches_counter_kernel(monkeypatch, n, t, d):
     # N = 241 (w = 8) and N = 273 (w = 9) at M = 255, a d = 3 family and the
-    # smallest; every delay's counts, then the report with its witnesses
+    # smallest; every delay's counts, then the report with its witnesses.  One
+    # CPU, so that every delay is counted in this process and recorded here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     fam = cached_family(n, t, d)
     total, first, per_u = counter_cross_transform(list(fam.planes), fam.N)
     seen, lane_counter = [], analysis._lane_counter
@@ -163,6 +167,100 @@ def test_cross_transform_matches_counter_kernel(monkeypatch, n, t, d):
     monkeypatch.setattr(analysis, "_cross_transform", lambda planes, N: (total, first))
     assert family_correlation(fam).as_dict() == report
 
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("n,t,d,sampled", [(8, 16, 2, None), (8, -16, 2, None),
+                                           (4, -1, 3, None), (2, -2, 2, None),
+                                           (9, 32, 2, 1000)])
+def test_reports_equal_on_one_and_three_cpus(monkeypatch, n, t, d, sampled):
+    # with the threshold at 0, every sweep of two or more delays after its
+    # first forks under three CPUs (N = 3 has one); the reports, witnesses
+    # included, are those of one process
+    fam, forks, fork = cached_family(n, t, d), [], os.fork
+    monkeypatch.setattr(analysis, "_FORK_AFTER_S", 0)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    reports = []
+    for cpus in ({0}, {0, 1, 2}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        reports.append(family_correlation(fam, sampled=sampled))
+        assert no_child_left()
+        assert bool(forks) == (len(cpus) > 1 and fam.N > 3)
+    assert reports[0] == reports[1]
+
+
+def test_dealt_recomputes_failed_shares_and_raises_here(monkeypatch):
+    monkeypatch.setattr(analysis, "_FORK_AFTER_S", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    parent, us = os.getpid(), range(3, 13)
+
+    def in_parent_only(u):
+        if os.getpid() != parent:
+            raise RuntimeError("child")
+        return {u % 4: u}
+    assert analysis._dealt(in_parent_only, us) == [{u % 4: u} for u in us]
+    assert no_child_left()
+
+    def fails_at_eight(u):  # 8 is in a child's share; the parent's recount raises
+        if u == 8:
+            raise ValueError(f"u = {u} in {os.getpid()}")
+        return {u: 1}
+    with pytest.raises(ValueError, match=f"u = 8 in {parent}$"):
+        analysis._dealt(fails_at_eight, us)
+    assert no_child_left()
+
+
+def test_sweep_without_fork_runs_serially(monkeypatch):
+    fam, tries = cached_family(4, -1, 3), []
+    serial = family_correlation(fam)
+
+    def fork():
+        tries.append(1)
+        raise OSError("no fork")
+    monkeypatch.setattr(analysis, "_FORK_AFTER_S", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", fork)
+    assert family_correlation(fam) == serial
+    assert tries and no_child_left()
+    # a process that runs a second thread does not fork at all
+    tries.clear()
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert family_correlation(fam) == serial
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not tries and not thread.is_alive()
+
+
+def test_no_child_outlives_a_raising_sweep(monkeypatch):
+    # the parent raises in its own share while its children still count theirs
+    monkeypatch.setattr(analysis, "_FORK_AFTER_S", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    parent, calls, lane_counter = os.getpid(), [], analysis._lane_counter
+
+    def failing(lanes, w):
+        count = lane_counter(lanes, w)
+
+        def counted(raw):
+            calls.append(1)
+            if os.getpid() == parent and len(calls) > 1:
+                raise RuntimeError("parent share")
+            return count(raw)
+        return counted
+    monkeypatch.setattr(analysis, "_lane_counter", failing)
+    with pytest.raises(RuntimeError, match="parent share"):
+        family_correlation(cached_family(8, 16, 2))
+    assert no_child_left()
 
 @st.composite
 def planes_of(draw, N, max_size):
