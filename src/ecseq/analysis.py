@@ -120,7 +120,8 @@ def _dealt(count: Callable, us: range) -> list[dict]:
     out = {u: count(u) for u in us[:1]}
     rest, k = us[1:], 1
     threading = sys.modules.get("threading")  # forking a process with threads is unsafe
-    if (hasattr(os, "fork") and (threading is None or threading.active_count() == 1)
+    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")  # not on macOS or Windows
+            and (threading is None or threading.active_count() == 1)
             and (time.perf_counter() - start) * len(rest) >= _FORK_AFTER_S):
         k = max(1, min(len(os.sched_getaffinity(0)), len(rest)))
     shares, children = [rest[i::k] for i in range(k)], {}  # pid: (read end, share)
@@ -134,13 +135,12 @@ def _dealt(count: Callable, us: range) -> list[dict]:
                 os.close(w)
                 break
             if pid == 0:
-                status = 1
                 try:
                     with open(w, "wb") as pipe:
                         pipe.write(marshal.dumps([dict(count(u)) for u in share]))
-                    status = 0
+                    os._exit(0)
                 finally:
-                    os._exit(status)
+                    os._exit(1)
             os.close(w)
             children[pid] = (open(r, "rb"), share)
         for share in [shares[0], *shares[1 + len(children):]]:

@@ -148,11 +148,32 @@ def test_lane_counter_matches_counter(w_lanes):
     assert dict(counts) == dict(Counter(v & (1 << w) - 1 for v in lanes))
 
 
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def on_three_cpus(monkeypatch, fam, **kwargs):
+    """family_correlation(fam, **kwargs) where three CPUs are allowed and the
+    fork threshold is 0, and whether any sweep forked."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(analysis, "_FORK_AFTER_S", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    report = family_correlation(fam, **kwargs)
+    assert no_child_left()
+    return report, bool(forks)
+
+
 @pytest.mark.parametrize("n,t,d", [(8, -16, 2), (8, 16, 2), (4, -1, 3), (2, -2, 2)])
 def test_cross_transform_matches_counter_kernel(monkeypatch, n, t, d):
     # N = 241 (w = 8) and N = 273 (w = 9) at M = 255, a d = 3 family and the
     # smallest; every delay's counts, then the report with its witnesses.  One
-    # CPU, so that every delay is counted in this process and recorded here
+    # CPU, so that every delay is counted in this process and recorded here;
+    # then the same report from forked sweeps (N = 3 leaves too few delays)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     fam = cached_family(n, t, d)
     total, first, per_u = counter_cross_transform(list(fam.planes), fam.N)
@@ -162,38 +183,18 @@ def test_cross_transform_matches_counter_kernel(monkeypatch, n, t, d):
         count = lane_counter(lanes, w)
         return lambda raw: seen.append(count(raw)) or seen[-1]
     monkeypatch.setattr(analysis, "_lane_counter", recording)
-    report = family_correlation(fam).as_dict()
+    report = family_correlation(fam)
     assert [dict(c) for c in seen] == [dict(c) for c in per_u]
+    assert on_three_cpus(monkeypatch, fam) == (report, fam.N > 3)
     monkeypatch.setattr(analysis, "_cross_transform", lambda planes, N: (total, first))
-    assert family_correlation(fam).as_dict() == report
+    assert family_correlation(fam).as_dict() == report.as_dict()
 
 
-
-def no_child_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
-@pytest.mark.parametrize("n,t,d,sampled", [(8, 16, 2, None), (8, -16, 2, None),
-                                           (4, -1, 3, None), (2, -2, 2, None),
-                                           (9, 32, 2, 1000)])
-def test_reports_equal_on_one_and_three_cpus(monkeypatch, n, t, d, sampled):
-    # with the threshold at 0, every sweep of two or more delays after its
-    # first forks under three CPUs (N = 3 has one); the reports, witnesses
-    # included, are those of one process
-    fam, forks, fork = cached_family(n, t, d), [], os.fork
-    monkeypatch.setattr(analysis, "_FORK_AFTER_S", 0)
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    reports = []
-    for cpus in ({0}, {0, 1, 2}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        reports.append(family_correlation(fam, sampled=sampled))
-        assert no_child_left()
-        assert bool(forks) == (len(cpus) > 1 and fam.N > 3)
-    assert reports[0] == reports[1]
+def test_sampled_report_equal_on_one_and_three_cpus(monkeypatch):
+    fam = cached_family(9, 32, 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = family_correlation(fam, sampled=1000)
+    assert on_three_cpus(monkeypatch, fam, sampled=1000) == (one, True)
 
 
 def test_dealt_recomputes_failed_shares_and_raises_here(monkeypatch):
@@ -261,6 +262,7 @@ def test_no_child_outlives_a_raising_sweep(monkeypatch):
     with pytest.raises(RuntimeError, match="parent share"):
         family_correlation(cached_family(8, 16, 2))
     assert no_child_left()
+
 
 @st.composite
 def planes_of(draw, N, max_size):
