@@ -23,9 +23,8 @@ import random
 import sys
 import time
 from array import array
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
 
 from .family import SequenceFamily
 from .gf2 import ValidationError, clmul, poly_gcd, poly_mod, span, walsh_hadamard
@@ -47,21 +46,14 @@ def corr_bound(q: int, t: int, d: int) -> int:
     return (2 * d + 1) * math.isqrt(4 * q) + abs(t)
 
 
-@dataclass
-class CorrelationReport:
-    N: int
-    M: int
-    bound: int
-    max_auto: int
-    max_cross: int | None
-    cor: int
-    histogram: dict[int, int]
-    auto_witness: tuple[int, int] | None   # (i, u); None when N = 1
-    cross_witness: tuple[int, int, int] | None  # (i, j, u)
-    mode: str                               # "exhaustive" or "sampled"
-    identities_ok: bool                     # counting_identity_check's verdict
-    samples: int | None = None
-    seed: int | None = None
+class CorrelationReport(namedtuple(
+        "CorrelationReport", "N M bound max_auto max_cross cor histogram auto_witness "
+        "cross_witness mode identities_ok samples seed", defaults=(None, None))):
+    """max_cross is None when M = 1; histogram maps C to its count; auto_witness
+    is (i, u), None when N = 1, and cross_witness (i, j, u); mode is "exhaustive"
+    or "sampled"; identities_ok is counting_identity_check's verdict."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -75,15 +67,12 @@ class CorrelationReport:
         }
 
 
-@dataclass
-class LinearComplexityReport:
-    N: int
-    q: int
-    t: int
-    d: int
-    lc_per_sequence: list[int] = field(default_factory=list)
-    lc_min: int = 0
-    lc_bound_ceil: int = 0
+class LinearComplexityReport(namedtuple(
+        "LinearComplexityReport", "N q t d lc_per_sequence lc_min lc_bound_ceil",
+        defaults=([], 0, 0))):
+    """The default lc_per_sequence is one shared list, which nothing mutates."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {

@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 validation failure, 3 bound-assertion failure,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -52,6 +51,7 @@ def _emit(obj, out_path=None):
 
 
 def cmd_generate(args) -> int:
+    import hashlib  # here and in cmd_analyze only, so commands that hash nothing skip OpenSSL
     n, t, d = args.n, args.t, args.d
     fam = build_family(n, t, d)
     out = args.out or f"ecseq_n{n}_t{t}_d{d}.ecseq"
@@ -64,6 +64,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    import hashlib  # see cmd_generate
     with open(args.family, "rb") as fh:
         data = fh.read()  # one read, so the digest names the bytes analysed
     fam = parse_family(data)

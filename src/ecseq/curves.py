@@ -9,27 +9,24 @@ the coordinates belong to (curve coefficients are embedded as needed).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 from .gf2 import (
-    MAX_DEGREE,
-    MIN_DEGREE,
     ExtFieldContext,
     FieldContext,
     ValidationError,
     elem_to_hex,
     factorize,
     make_field,
+    require_degree,
 )
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(namedtuple("Point", "x y", defaults=(None, None))):
     """Affine point or the infinity place O (x is None)."""
 
-    x: int | None = None
-    y: int | None = None
+    __slots__ = ()
 
     @property
     def is_infinity(self) -> bool:
@@ -174,6 +171,7 @@ class Curve:
 
 def special_traces(n: int) -> list[int]:
     """The even admissible traces: 0 and +/-sqrt(q) or +/-sqrt(2q)."""
+    require_degree(n)  # before 1 << n, which a negative n would make a ValueError
     q = 1 << n
     s = math.isqrt(q << n % 2)
     return [-s, 0, s]
@@ -181,10 +179,8 @@ def special_traces(n: int) -> list[int]:
 
 def admissible_t(n: int) -> list[int]:
     """All traces t for which a cyclic curve with N = q+1+t exists."""
-    if not MIN_DEGREE <= n <= MAX_DEGREE:
-        raise ValidationError(f"n={n} outside supported range [{MIN_DEGREE}, {MAX_DEGREE}]")
+    ts = set(special_traces(n))  # checks n's range first
     q = 1 << n
-    ts = set(special_traces(n))
     bound = math.isqrt(4 * q)
     for t in range(-bound, bound + 1):
         if t % 2 != 0:
@@ -192,12 +188,10 @@ def admissible_t(n: int) -> list[int]:
     return sorted(ts)
 
 
-@dataclass(frozen=True)
-class CurveSearchSpec:
+class CurveSearchSpec(namedtuple("CurveSearchSpec", "n t")):
     """Target (n, t) for the deterministic cyclic-curve sweep."""
 
-    n: int
-    t: int
+    __slots__ = ()
 
     @property
     def model_family(self) -> str:

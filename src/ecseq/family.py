@@ -8,15 +8,14 @@ valid only as format_family(build_family(n, t, d)) for the n, t, d in its header
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .curves import (Curve, CurveSearchSpec, Point, admissible_t, ordered_points,
                      search_cyclic_curve)
 from .gf2 import (MAX_DEGREE, MAX_EXT_DEGREE, MIN_DEGREE, ExtFieldContext,
-                  ValidationError, make_ext, make_field, span)
+                  ValidationError, make_ext, make_field, require_degree, span)
 from .places import find_place
 from .rrspace import RRSpace, eval_function, rr_basis
 
@@ -35,19 +34,16 @@ def family_sizes(n: int) -> dict[tuple[int, int], tuple[int, int]]:
 
 
 def require_family(n: int, t: int, d: int) -> None:
+    require_degree(n)  # so only an n in range is pointed at `ecseq admissible`
     if (t, d) not in family_sizes(n):
         raise ValidationError(f"no family for n={n} t={t} d={d}; see `ecseq admissible --n {n}`")
 
 
-@dataclass(frozen=True)
-class SequenceFamily:
-    """A family over GF(2^n) held as its bit planes, from which M and the rows derive."""
-    n: int
-    t: int
-    d: int
-    N: int
-    planes: tuple[int, ...]
-    provenance: dict = field(default_factory=dict)
+class SequenceFamily(namedtuple("SequenceFamily", "n t d N planes provenance", defaults=({},))):
+    """A family over GF(2^n) held as its bit planes, from which M and the rows derive.
+    The default provenance is one shared dict, which nothing mutates."""
+
+    __slots__ = ()
 
     @property
     def q(self) -> int:
@@ -57,9 +53,10 @@ class SequenceFamily:
     def M(self) -> int:
         return (1 << len(self.planes)) - 1
 
-    @functools.cached_property
+    @property
     def bits(self) -> list[int]:
-        """The M rows, span(planes)[1:]: bits[i] bit j = s_{i,j}."""
+        """The M rows, span(planes)[1:]: bits[i] bit j = s_{i,j}; computed on
+        each access, so a caller that reads it more than once binds it."""
         return span(self.planes)[1:]
 
 

@@ -41,9 +41,9 @@ def clmul(a: int, b: int) -> int:
     if a.bit_count() < b.bit_count():
         a, b = b, a
     r = 0
-    while b:  # one step per set bit of the sparser factor
+    while b:  # one shifted copy per set bit of the sparser factor
         low = b & -b
-        r ^= a * low
+        r ^= a << low.bit_length() - 1
         b ^= low
     return r
 
@@ -405,11 +405,15 @@ class ExtFieldContext(FieldContext):
 # ----------------------------------------------------------------------
 # Cached constructors.
 
+def require_degree(n: int) -> None:
+    if not MIN_DEGREE <= n <= MAX_DEGREE:
+        raise ValidationError(f"n={n} outside supported range [{MIN_DEGREE}, {MAX_DEGREE}]")
+
+
 @functools.lru_cache(maxsize=None)
 def make_field(n: int) -> FieldContext:
     """GF(2^n) with the lexicographically smallest irreducible modulus."""
-    if not MIN_DEGREE <= n <= MAX_DEGREE:
-        raise ValidationError(f"n={n} outside supported range [{MIN_DEGREE}, {MAX_DEGREE}]")
+    require_degree(n)
     return FieldContext(smallest_irreducible(n))
 
 

@@ -12,24 +12,21 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import or_, xor
 
 from .curves import INFINITY, Curve, Point, _sort_key
 from .gf2 import ExtFieldContext, GF2Solver, ValidationError, elem_to_hex, factorize, linear_map
 
 
-@dataclass(frozen=True)
-class PlaceD:
+class PlaceD(namedtuple("PlaceD", "d orbit dpoly")):
     """A degree-d place: Frobenius orbit plus x-minimal polynomial.
 
     dpoly holds GF(q) coefficients low-to-high (monic, length d+1);
-    orbit[i+1] is the coordinatewise q-Frobenius of orbit[i].
+    orbit, a tuple of Points, has orbit[i+1] the coordinatewise q-Frobenius of orbit[i].
     """
 
-    d: int
-    orbit: tuple[Point, ...]
-    dpoly: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def representative(self) -> Point:

@@ -11,7 +11,7 @@ GF(2)-linear in the coefficient bits, so :class:`gf2.GF2Solver` solves them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .curves import Curve, Point
 from .gf2 import ExtFieldContext, FieldContext, GF2Solver, elem_to_hex
@@ -28,13 +28,10 @@ def monomials_L2dO(d: int) -> list[tuple[int, int]]:
     return mons
 
 
-@dataclass(frozen=True)
-class CurveFunction:
+class CurveFunction(namedtuple("CurveFunction", "d coeffs dpoly")):
     """Numerator coefficients (aligned with monomials_L2dO(d)) over D(x)."""
 
-    d: int
-    coeffs: tuple[int, ...]
-    dpoly: tuple[int, ...]
+    __slots__ = ()
 
     def serialize(self) -> dict:
         mons = monomials_L2dO(self.d)
@@ -44,11 +41,10 @@ class CurveFunction:
         }
 
 
-@dataclass(frozen=True)
-class RRSpace:
-    place: PlaceD
-    full_basis: tuple[CurveFunction, ...]  # full_basis[0] is the constant 1
-    V_basis: tuple[CurveFunction, ...]
+class RRSpace(namedtuple("RRSpace", "place full_basis V_basis")):
+    """L(Q) of a PlaceD as CurveFunction tuples; full_basis[0] is the constant 1."""
+
+    __slots__ = ()
 
 
 class IrregularPlaceError(RuntimeError):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import random
 
@@ -43,5 +42,5 @@ def serre_breaking_family():
         seq.append(seq[j - 7] ^ (rng.random() < 0.3))
     planes = list(fam.planes)
     planes[8] = sum(b << j for j, b in enumerate(seq))
-    return dataclasses.replace(fam, planes=tuple(planes))
+    return fam._replace(planes=tuple(planes))
 

@@ -218,13 +218,13 @@ def shift_identity_check(family, curve, P, space, pairs=None) -> bool:
     pairs is an iterable of (i, u); None checks every (i, u) pair.
     """
     pts = ordered_points(curve, P)
-    N = family.N
+    N, bits = family.N, family.bits
     zs = enumerate_V(curve.ctx, space)
     if pairs is None:
         pairs = ((i, u) for i in range(family.M) for u in range(N))
     for i, u in pairs:
         Pu = curve.scalar_mul(u, P)
-        row = family.bits[i]
+        row = bits[i]
         z = zs[i]
         for j in range(N):
             shifted = (row >> ((j + u) % N)) & 1

@@ -73,10 +73,10 @@ def test_corr_bound_values():
 def test_family_correlation_matches_naive_oracle():
     fam = cached_family(3, 4, 2)
     rep = family_correlation(fam)
-    N, M = fam.N, fam.M
+    N, M, bits = fam.N, fam.M, fam.bits
     naive_max_auto = max(corr(s, s, u, N)
-                         for s in fam.bits for u in range(1, N))
-    naive_max_cross = max(corr(fam.bits[i], fam.bits[j], u, N)
+                         for s in bits for u in range(1, N))
+    naive_max_cross = max(corr(bits[i], bits[j], u, N)
                           for i in range(M) for j in range(M) if i != j
                           for u in range(N))
     assert rep.max_auto == naive_max_auto
@@ -84,9 +84,9 @@ def test_family_correlation_matches_naive_oracle():
     assert rep.cor == max(naive_max_auto, naive_max_cross) <= rep.bound
     assert sum(rep.histogram.values()) == M * (N - 1) + M * (M - 1) * N
     i, u = rep.auto_witness
-    assert corr(fam.bits[i], fam.bits[i], u, N) == rep.max_auto
+    assert corr(bits[i], bits[i], u, N) == rep.max_auto
     i, j, u = rep.cross_witness
-    assert corr(fam.bits[i], fam.bits[j], u, N) == rep.max_cross
+    assert corr(bits[i], bits[j], u, N) == rep.max_cross
 
 
 def naive_report(fam):
@@ -332,7 +332,8 @@ def test_auto_violation_names_the_first_rows_own_extreme():
     # and -28 at u = 13; the family's largest |A_u| is row 1's 32 at u = 22
     fam = SequenceFamily(n=2, t=1, d=2, N=44,
                          planes=(5623472543041, 6205872714699, 12436545372515))
-    assert max(corr(fam.bits[1], fam.bits[1], u, 44) for u in range(1, 44)) == 32
+    row1 = fam.bits[1]
+    assert max(corr(row1, row1, u, 44) for u in range(1, 44)) == 32
     for sampled in (None, 1):
         with pytest.raises(BoundViolationError,
                            match=re.escape("|28| > bound 21 at auto (i, u) = (0, 20)") + "$"):
@@ -371,7 +372,8 @@ def test_negative_correlation_violation_raises():
     fake = SequenceFamily(n=7, t=16, d=2, N=N, planes=(s, ~rotate(s, 1, N) & ((1 << N) - 1)))
     bound = corr_bound(fake.q, fake.t, fake.d)
     assert bound < N
-    assert max(corr(s, fake.bits[1], u, N) for u in range(N)) <= bound
+    row1 = fake.bits[1]
+    assert max(corr(s, row1, u, N) for u in range(N)) <= bound
     assert max(abs(corr(r, r, u, N)) for r in fake.bits for u in range(1, N)) <= bound
     with pytest.raises(BoundViolationError,
                        match=re.escape(f"|-{N}| > bound {bound} at cross (i, j, u) = "

@@ -394,6 +394,18 @@ def test_reproduce_table_refuses_unbuildable_row_first(tmp_path, capsys, monkeyp
     assert calls == []
 
 
+@pytest.mark.parametrize("table", [2, 3])
+@pytest.mark.parametrize("n", [-3, 0, 1, 13, 1000])
+def test_reproduce_table_n_out_of_range_exits_2(tmp_path, capsys, table, n):
+    # refused with the field's range message before any trace is computed,
+    # and not pointed at `ecseq admissible`, which refuses such an n too
+    out = tmp_path / "t.json"
+    assert run(["reproduce-table", "--table", table, "--n", n, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: n={n} outside supported range [{MIN_DEGREE}, {MAX_DEGREE}]\n"
+    assert not out.exists()
+
+
 def test_reproduce_table2_small(tmp_path):
     out = tmp_path / "t2.json"
     assert run(["reproduce-table", "--table", 2, "--n", 4, "--out", out]) == 0
@@ -509,6 +521,26 @@ def test_cli_runs_without_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
     assert json.loads(rep.read_text())["counting_identities_ok"] is True
+
+
+def test_cli_start_up_skips_heavy_imports(tmp_path):
+    # every ecseq process pays its imports; under python -S (no site, so
+    # nothing preloaded), importing the CLI and running count-places load
+    # none of these, and only generate and analyze import hashlib
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "count.json"
+    code = ("import sys\n"
+            "heavy = ('dataclasses', 'inspect', 'typing', 'hashlib')\n"
+            "from ecseq.cli import main\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+            f"assert main(['count-places', '--n', '8', '--t', '16', '--d', '2', '--out', {str(out)!r}]) == 0\n"
+            f"assert main(['count-places', '--n', '3', '--t', '4', '--d', '2', '--verify', '--out', {str(out)!r}]) == 0\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert json.loads(out.read_text())["enumerated"] == 26
 
 
 def test_unknown_flag_rejected():

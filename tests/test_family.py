@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from conftest import cached_family, cached_instance
 from ecseq import family
-from ecseq.curves import ordered_points
+from ecseq.curves import CurveSearchSpec, Point, ordered_points
 from ecseq.family import (FormatError, _pack_row, build_family, family_sizes, format_family,
                           parse_family, read_family, write_family)
-from ecseq.analysis import corr_bound
+from ecseq.analysis import corr_bound, family_correlation, family_linear_complexity
 from ecseq.gf2 import MIN_DEGREE, GF2Solver, ValidationError, span
 from ecseq.rrspace import eval_function
 from oracles import enumerate_V, shift_identity_check
@@ -33,24 +33,25 @@ def test_smallest_family_shape():
 def test_rows_match_direct_trace_evaluation(n, t, d):
     curve, P, ext, place, space = cached_instance(n, t, d)
     fam = cached_family(n, t, d)
-    assert len(fam.bits) == fam.M == (1 << n * (d - 1)) - 1
+    bits = fam.bits
+    assert len(bits) == fam.M == (1 << n * (d - 1)) - 1
     pts = ordered_points(curve, P)
     for i, z in enumerate(enumerate_V(curve.ctx, space)):
         row = 0
         for j, pt in enumerate(pts):
             if curve.ctx.trace(eval_function(curve, z, pt)):
                 row |= 1 << j
-        assert row == fam.bits[i]
+        assert row == bits[i]
 
 
 def test_rows_are_trace_linear_in_coefficients():
     # row index i encodes coefficient vector i+1; XOR of rows tracks GF(2)
     # addition of coefficient vectors (trace and evaluation are additive)
-    fam = cached_family(3, 4, 2)
+    bits = cached_family(3, 4, 2).bits
     for a in range(1, 8):
         for b in range(1, 8):
             if a ^ b:
-                assert fam.bits[a - 1] ^ fam.bits[b - 1] == fam.bits[(a ^ b) - 1]
+                assert bits[a - 1] ^ bits[b - 1] == bits[(a ^ b) - 1]
 
 
 def test_shift_identity_full():
@@ -132,6 +133,35 @@ def test_every_small_family_round_trips(n, t, d):
     assert parse_family(format_family(fam)) == fam
     assert fam.bits == span(fam.planes)[1:]
     assert fam.M == len(fam.bits)
+
+
+def _value_types():
+    curve, P, ext, place, space = cached_instance(3, 4, 2)
+    fam = cached_family(3, 4, 2)
+    return [P, Point(), CurveSearchSpec(3, 4), place, space, space.V_basis[0], fam,
+            family_correlation(fam), family_linear_complexity(fam)]
+
+
+def test_value_types_cannot_be_changed():
+    # a family is its planes: no field of it or of any other value type can
+    # be rebound, nor the rows derived from the planes, nor an attribute added
+    for value in _value_types():
+        for name in (*value._fields, "added"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        cached_family(3, 4, 2).bits = []
+    with pytest.raises(AttributeError):
+        Point().x = 1
+
+
+def test_replaced_planes_give_their_span():
+    fam = cached_family(3, 4, 2)
+    for planes in [fam.planes[:1], fam.planes[::-1], (1, 2, 4, 8)]:
+        new = fam._replace(planes=planes)
+        assert new.bits == span(planes)[1:] and new.M == (1 << len(planes)) - 1
+        assert (new.n, new.N, new.provenance) == (fam.n, fam.N, fam.provenance)
+    assert fam.bits == span(fam.planes)[1:]  # the original is unchanged
 
 
 @given(st.integers(0, 6), st.integers(0, 3), st.characters(exclude_categories=["Cs"]))
