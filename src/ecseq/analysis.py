@@ -7,11 +7,13 @@ a long sweep's delays dealt over one forked process per CPU.  s -> s XOR
 rot(s, u) is linear, so every row's autocorrelation at u is in the span of the
 planes' deltas.  For the cross sweep, with col_j the planes' bits
 at position j, C_u(s_i, s_b) is the Walsh-Hadamard transform at b + 1 of the
-buckets P[col_{j+u}] += (-1)^s_i(j), one 16-bit lane per row i, counted by bit
-planes, and C_u(a, b) = C_{N-u}(b, a) gives u > N/2.  Sampled mode replays
-random.Random(seed).randrange's draws from getrandbits and reads each probe's
-rotation as a window of b|b<<N.  Cyclic linear complexity, N - deg gcd(S(x), x^N+1),
-reads their images' span: s(x+1) at N = 2^k, else s mod gcd(x^N+1, the rows' product).
+buckets P[col_{j+u}] += (-1)^s_i(j), one lane per row i, counted by bit planes,
+and C_u(a, b) = C_{N-u}(b, a) gives u > N/2.  A lane is one byte below N = 512,
+where a carry out of a lane shows in the lanes' sum, and two bytes above.
+Sampled mode replays random.Random(seed).randrange's draws from getrandbits and
+reads each probe's rotation as a window of b|b<<N.  Cyclic linear complexity,
+N - deg gcd(S(x), x^N+1), reads their images' span: s(x+1) at N = 2^k, else
+s mod gcd(x^N+1, the rows' product).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ DEFAULT_BUDGET_MS = 10_000  # estimated exhaustive sweep time allowed without EC
 _OPS_PER_MS = 3500  # exhaustive lane operations per ms, at or below the slowest measured
 _FORK_AFTER_S = 0.1  # a per-delay sweep forks once the delays after its first would take this long
 _SAMPLE_BLOCK = 4096  # sampled probes held in memory at a time
-_DIAGONAL = 0xFFFF  # marks i = b in the cross sweep's 16-bit lanes, which need 2N < it
+_CHUNK = 1 << 20  # lanes transposed at a time, a multiple of 8, so the masks stay small
 _TRANSPOSE = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
@@ -85,7 +87,7 @@ class LinearComplexityReport(namedtuple(
 def exhaustive_allowed(family: SequenceFamily) -> bool:
     """Budget gate for the exhaustive sweep: M * (M+1) * (N//2 + 1) lane
     operations, M + 1 buckets per row and delay, at _OPS_PER_MS must fit in
-    ECSEQ_BUDGET_MS, or DEFAULT_BUDGET_MS if unset; N must fit the 16-bit lanes.
+    ECSEQ_BUDGET_MS, or DEFAULT_BUDGET_MS if unset; N < 2^16 fits a 2-byte lane.
     The estimate is one process's, not divided over the CPUs the sweep may
     fork onto, so the exhaustive/sampled choice is the same on every machine."""
     env = os.environ.get("ECSEQ_BUDGET_MS")
@@ -94,7 +96,7 @@ def exhaustive_allowed(family: SequenceFamily) -> bool:
         raise ValidationError(
             f"ECSEQ_BUDGET_MS={shown!r} is not a non-negative integer of at most 18 digits")
     budget = (int(env) if env else DEFAULT_BUDGET_MS) * _OPS_PER_MS
-    return 2 * family.N < _DIAGONAL and family.M * (family.M + 1) * (family.N // 2 + 1) <= budget
+    return family.N < 2**16 and family.M * (family.M + 1) * (family.N // 2 + 1) <= budget
 
 
 def _dealt(count: Callable, us: range) -> list[dict]:
@@ -165,98 +167,121 @@ def _per_delay(count: Callable, us: range, N: int) -> tuple[Counter, Callable]:
     return total, lambda pcs: [u for u, keys in per_u if not pcs.isdisjoint(keys)]
 
 
+def _auto_values(planes: list[int], N: int, u: int) -> Iterator[int]:
+    """popcount(s_i ^ rotate(s_i, u)) for each row s_i of span(planes)[1:], read
+    as row i of the span of the planes' deltas, on windows of p|p<<N."""
+    mask = (1 << N) - 1
+    return map(int.bit_count, span([p ^ (p | p << N) >> u & mask for p in planes])[1:])
+
+
 def _auto_transform(planes: list[int], N: int) -> tuple[Counter, Callable[[set], tuple]]:
     """Counts of popcount(s_i ^ rotate(s_i, u)) over every (i, u), 0 < u < N, s_i
     row i of span(planes)[1:], and first(pcs): the lexicographically first (i, u)
-    whose popcount is in pcs.  Row i's value at u is row i of the span of the
-    planes' deltas.  A_u = A_{N-u}: u <= N/2 is swept, on windows of p|p<<N."""
-    mask = (1 << N) - 1
-
-    def values(u: int) -> Iterator[int]:
-        return map(int.bit_count, span([p ^ (p | p << N) >> u & mask for p in planes])[1:])
-    total, where = _per_delay(lambda u: Counter(values(u)), range(1, N // 2 + 1), N)
+    whose popcount is in pcs.  A_u = A_{N-u}: u <= N/2 is swept."""
+    total, where = _per_delay(lambda u: Counter(_auto_values(planes, N, u)),
+                              range(1, N // 2 + 1), N)
     return total, lambda pcs: min(
-        (next(i for i, pc in enumerate(values(u)) if pc in pcs), u) for u in where(pcs))
+        (next(i for i, pc in enumerate(_auto_values(planes, N, u)) if pc in pcs), u)
+        for u in where(pcs))
 
 
 def _lane_counter(lanes: int, w: int) -> Callable[[bytes], Counter]:
-    """count(raw): counts of the low w <= 16 bits of raw's first `lanes` 16-bit
-    little-endian lanes.  Three masked delta swaps transpose the low (high) bytes
-    of each 8 lanes as an 8x8 bit matrix, so plane k (8 + k), bit p is bit k of
-    lane p's low (high) byte; a trie over the planes from bit w-1 down splits each
-    node by & and ^ and counts it by bit_count."""
-    size = lanes + -lanes % 8  # whole blocks of 8 lanes
-    swaps = [(shift, int.from_bytes(mask.to_bytes(8, "little") * (size // 8), "little"))
+    """count(raw): counts of the low w <= 16 bits of raw's first `lanes` lanes,
+    each (w + 7) // 8 bytes, little-endian, _CHUNK lanes at a time.  Three masked
+    delta swaps transpose byte h of each 8 lanes as an 8x8 bit matrix, so plane
+    8h + k, bit p is bit k of lane p's byte h; a trie over the planes from bit
+    w-1 down splits each node by & and ^ and counts it by bit_count."""
+    width, chunk = (w + 7) // 8, min(_CHUNK, lanes + -lanes % 8) or 8
+    swaps = [(shift, int.from_bytes(mask.to_bytes(8, "little") * (chunk // 8), "little"))
              for shift, mask in _TRANSPOSE]
 
     def count(raw: bytes) -> Counter:
-        planes = []
-        for half in range((w + 7) // 8):
-            x = int.from_bytes(raw[half::2], "little")  # the pad lanes are 0
-            for shift, mask in swaps:
-                t = (x ^ x >> shift) & mask
-                x ^= t ^ t << shift
-            x = x.to_bytes(size, "little")
-            planes += [int.from_bytes(x[k::8], "little") for k in range(min(8, w - len(planes)))]
-        counts, stack = Counter(), [(w - 1, (1 << lanes) - 1, lanes, 0)]
-        while stack:
-            k, node, n, value = stack.pop()
-            if k < 0:
-                counts[value] = n
-                continue
-            one = node & planes[k]
-            if ones := one.bit_count():
-                stack.append((k - 1, one, ones, value | 1 << k))
-            if ones < n:  # a leaf needs only its count
-                stack.append((k - 1, node ^ one if k else 0, n - ones, value))
+        counts = Counter()
+        for start in range(0, lanes, chunk):
+            size, planes = min(chunk, lanes - start), []
+            for h in range(width):
+                x = int.from_bytes(raw[start * width + h:(start + size) * width:width], "little")
+                for shift, mask in swaps:
+                    t = (x ^ x >> shift) & mask
+                    x ^= t ^ t << shift
+                x = x.to_bytes(size + -size % 8, "little")  # the pad lanes are 0
+                planes += [int.from_bytes(x[k::8], "little") for k in range(min(8, w - len(planes)))]
+            stack = [(w - 1, (1 << size) - 1, size, 0)]
+            while stack:
+                k, node, n, value = stack.pop()
+                if k < 0:
+                    counts[value] += n
+                    continue
+                one = node & planes[k]
+                if ones := one.bit_count():
+                    stack.append((k - 1, one, ones, value | 1 << k))
+                if ones < n:  # a leaf needs only its count
+                    stack.append((k - 1, node ^ one if k else 0, n - ones, value))
         return counts
     return count
 
 
-def _cross_transform(planes: list[int], N: int) -> tuple[Counter, Callable[[int], tuple]]:
+def _cross_transform(planes: list[int], N: int,
+                     width: int = 1) -> tuple[Counter, Callable[[int], tuple]]:
     """Popcount counts over every (i, j, u) with i != j, rows span(planes)[1:],
     and first(pc): the lexicographically first (i, j, u) with i < j where pc occurs.
 
     Row b reads bucket b + 1, so the planes need not be independent.  Delay
     u <= N/2 of the ordered pair (i, b) also stands for (b, i, N-u).  A lane
-    holds popcount(s_i ^ rot(s_b, u)) = (N - C_u) / 2 in [0, N], below 2^w - 1,
-    the diagonal's low w bits.
+    holds popcount(s_i ^ rot(s_b, u)) = (N - C_u) / 2 in [0, N], in `width`
+    bytes, 2 at N >= 512; lanes i = b hold the delay's autocorrelations, which
+    are subtracted.  With h = (M+1)/2 rows odd at each nonzero col_j, Z of them
+    and Z_u nonzero at both j and j+u, the M^2 lanes sum to 2hM*Z - 2h^2*Z_u,
+    and each carry out of a byte lane takes 255 from the sum of the bytes: at
+    N >= 256 a mismatch, or to_bytes' OverflowError, reruns the sweep in 2 bytes.
     """
+    width = max(width, 1 + (N >= 512))
     bits = span(planes)[1:]
-    M, w = len(bits), (N + 1).bit_length()
+    M, w = len(bits), min(8 * width, N.bit_length())
     cols = [sum((p >> j & 1) << k for k, p in enumerate(planes)) for j in range(N)]
-    ones = int("0001" * M, 16)
-    spread = str.maketrans({"0": "0000", "1": "0001"})
+    pad = "0" * (2 * width - 1)  # the hex digits of a lane above its last
+    ones = int((pad + "1") * M, 16)
+    spread = str.maketrans({"0": pad + "0", "1": pad + "1"})
     signs = [ones - 2 * int("".join(c).translate(spread), 16)  # lane i: (-1)^s_i(j)
              for c in zip(*(format(s, f"0{N}b") for s in reversed(bits)))][::-1]
+    h, nonzero = (M + 1) // 2, sum(1 << j for j, c in enumerate(cols) if c)
 
-    def lanes(u: int) -> bytearray:
-        """Lane b*M + i (16-bit little-endian) = popcount(s_i ^ rotate(s_b, u, N))."""
+    def lanes(u: int) -> bytes:
+        """Lane b*M + i (little-endian) = popcount(s_i ^ rotate(s_b, u, N))."""
         buckets = [0] * (M + 1)
         for c, x in zip(cols[u:] + cols[:u], signs):
             buckets[c] += x
         walsh_hadamard(buckets)
-        out = bytearray().join([((N * ones - x) >> 1).to_bytes(2 * M, "little")
-                                for x in buckets[1:]])
-        out[0::2 * M + 2] = out[1::2 * M + 2] = b"\xff" * M  # _DIAGONAL where i = b
-        return out
+        rows = [((N * ones - buckets.pop()) >> 1).to_bytes(width * M, "little")
+                for _ in range(M)]  # rows M-1 down to 0, each bucket freed once read
+        return b"".join(rows[::-1])
 
     count = _lane_counter(M * M, w)
 
     def counts(u: int) -> Counter:
         c = count(lanes(u))
-        del c[(1 << w) - 1]  # the diagonal
-        return c
-    total, where = _per_delay(counts, range(N // 2 + 1), N)
+        both = (nonzero & (nonzero | nonzero << N) >> u).bit_count()  # Z_u
+        if width == 1 and N >= 256 and sum(v * k for v, k in c.items()) != 2 * h * (
+                M * nonzero.bit_count() - h * both):
+            raise OverflowError(f"a byte lane carried at u = {u}")
+        c.subtract(Counter(_auto_values(planes, N, u)))  # the diagonal, i = b
+        return +c
+    try:
+        total, where = _per_delay(counts, range(N // 2 + 1), N)
+    except OverflowError:
+        if width > 1:
+            raise
+        return _cross_transform(planes, N, 2)
 
     def first(pc: int) -> tuple[int, int, int]:
-        hits, key = [], int.from_bytes(pc.to_bytes(2, "little"), sys.byteorder)  # pc's lane
+        hits, key = [], int.from_bytes(pc.to_bytes(width, "little"), sys.byteorder)  # pc's lane
         for u in where({pc}):
-            pcs, k = array("H", lanes(u)), -1  # native byte order
+            pcs, k = array("BH"[width - 1], lanes(u)), -1  # native byte order
             for _ in range(pcs.count(key)):
                 k = pcs.index(key, k + 1)
                 b, i = divmod(k, M)
-                hits.append((i, b, u) if i < b else (b, i, (N - u) % N))
+                if i != b:
+                    hits.append((i, b, u) if i < b else (b, i, (N - u) % N))
         return min(hits)
 
     return total, first

@@ -14,7 +14,6 @@ from array import array
 from collections import Counter
 from operator import xor
 
-from ecseq.analysis import _DIAGONAL
 from ecseq.curves import INFINITY, Point, _sort_key, ordered_points
 from ecseq.gf2 import span, walsh_hadamard
 from ecseq.places import frobenius_orbit
@@ -82,7 +81,7 @@ def counter_cross_transform(planes: list[int], N: int):
              for c in zip(*(format(s, f"0{N}b") for s in reversed(bits)))][::-1]
 
     def lanes(u: int) -> array:
-        """out[b*M + i] = popcount(s_i ^ rotate(s_b, u, N)); _DIAGONAL where i = b."""
+        """out[b*M + i] = popcount(s_i ^ rotate(s_b, u, N)), i = b at k % (M + 1) == 0."""
         buckets = [0] * (M + 1)
         for c, x in zip(cols[u:] + cols[:u], signs):
             buckets[c] += x
@@ -92,13 +91,11 @@ def counter_cross_transform(planes: list[int], N: int):
             out.frombytes(((N * ones - x) >> 1).to_bytes(2 * M, "little"))
         if sys.byteorder == "big":
             out.byteswap()
-        out[::M + 1] = array("H", [_DIAGONAL]) * M
         return out
 
     per_u, total = [], Counter()
     for u in range(N // 2 + 1):
-        counts = Counter(lanes(u))
-        del counts[_DIAGONAL]
+        counts = Counter(pc for k, pc in enumerate(lanes(u)) if k % (M + 1))
         per_u.append(counts)
         total.update(counts + counts if 2 * u % N else counts)
 
@@ -109,7 +106,8 @@ def counter_cross_transform(planes: list[int], N: int):
             for _ in range(pcs.count(pc)):
                 k = pcs.index(pc, k + 1)
                 b, i = divmod(k, M)
-                hits.append((i, b, u) if i < b else (b, i, (N - u) % N))
+                if i != b:
+                    hits.append((i, b, u) if i < b else (b, i, (N - u) % N))
         return min(hits)
 
     return total, first, per_u

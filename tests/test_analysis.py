@@ -129,22 +129,29 @@ def test_family_correlation_kernel_matches_naive_loop(n, t, d):
 
 @st.composite
 def lanes_and_width(draw):
-    """w in 1..15 and up to 70 16-bit lanes, many of them within 2 of 2^w - 1
-    in their low w bits, under any high bits."""
-    w = draw(st.integers(1, 15))
-    near = st.tuples(st.integers(-2, 1), st.integers(0, 0xFFFF >> w)).map(
+    """w in 1..16, up to 70 lanes of (w + 7) // 8 bytes, many of them within 2
+    of 2^w - 1 in their low w bits, under any high bits, and a chunk of 8, 16
+    or 24 lanes, or the default."""
+    w = draw(st.integers(1, 16))
+    top = (1 << 8 * ((w + 7) // 8)) - 1
+    near = st.tuples(st.integers(-2, 1), st.integers(0, top >> w)).map(
         lambda e: ((1 << w) - 1 + e[0]) % (1 << w) | e[1] << w)
-    return w, draw(st.lists(st.integers(0, 0xFFFF) | near, max_size=70))
+    lanes = draw(st.lists(st.integers(0, top) | near, max_size=70))
+    return w, lanes, draw(st.sampled_from([8, 16, 24, analysis._CHUNK]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(lanes_and_width())
-@example((9, [0xFFFF] * 9 + [273, 0, 511, 512]))
+@example((9, [0xFFFF] * 9 + [273, 0, 511, 512], 8))
+@example((8, [0xFF] * 9 + [17, 0, 255, 128], analysis._CHUNK))
 def test_lane_counter_matches_counter(w_lanes):
-    # lengths that are no multiple of 8 leave pad lanes in the last block
-    w, lanes = w_lanes
-    raw = b"".join(v.to_bytes(2, "little") for v in lanes)
-    counts = analysis._lane_counter(len(lanes), w)(raw)
+    # lengths that are no multiple of 8 leave pad lanes in the last block, and
+    # a small chunk puts chunk boundaries among the lanes
+    w, lanes, chunk = w_lanes
+    raw = b"".join(v.to_bytes((w + 7) // 8, "little") for v in lanes)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_CHUNK", chunk)
+        counts = analysis._lane_counter(len(lanes), w)(raw)
     assert dict(counts) == dict(Counter(v & (1 << w) - 1 for v in lanes))
 
 
@@ -170,8 +177,8 @@ def on_three_cpus(monkeypatch, fam, **kwargs):
 
 @pytest.mark.parametrize("n,t,d", [(8, -16, 2), (8, 16, 2), (4, -1, 3), (2, -2, 2)])
 def test_cross_transform_matches_counter_kernel(monkeypatch, n, t, d):
-    # N = 241 (w = 8) and N = 273 (w = 9) at M = 255, a d = 3 family and the
-    # smallest; every delay's counts, then the report with its witnesses.  One
+    # N = 241 and N = 273 at M = 255 (byte lanes, the second held to the lane
+    # sum), a d = 3 family and the smallest; every delay's counts, then the report with its witnesses.  One
     # CPU, so that every delay is counted in this process and recorded here;
     # then the same report from forked sweeps (N = 3 leaves too few delays)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -181,13 +188,59 @@ def test_cross_transform_matches_counter_kernel(monkeypatch, n, t, d):
 
     def recording(lanes, w):
         count = lane_counter(lanes, w)
-        return lambda raw: seen.append(count(raw)) or seen[-1]
+        return lambda raw: seen.append(count(raw)) or Counter(seen[-1])  # the kernel's to change
     monkeypatch.setattr(analysis, "_lane_counter", recording)
     report = family_correlation(fam)
-    assert [dict(c) for c in seen] == [dict(c) for c in per_u]
+    # the lanes i = b hold row i's autocorrelation at u, which the kernel
+    # subtracts from the delay's counts, leaving the oracle's per_u
+    bits, N = fam.bits, fam.N
+    diagonal = [Counter((s ^ rotate(s, u, N)).bit_count() for s in bits) for u in range(N // 2 + 1)]
+    assert [dict(c) for c in seen] == [dict(c + diag) for c, diag in zip(per_u, diagonal)]
     assert on_three_cpus(monkeypatch, fam) == (report, fam.N > 3)
     monkeypatch.setattr(analysis, "_cross_transform", lambda planes, N: (total, first))
     assert family_correlation(fam).as_dict() == report.as_dict()
+
+
+def forged_planes(N: int, kind: str) -> list[int]:
+    """Planes of length N from random.Random(N): four random ones; or, with
+    three zero columns, two random ones, their XOR and ~rot(p0, 1); or p0,
+    ~rot(p0, 1) (popcount N at a delay), p2 and p0 ^ p2; or p0 and ~rot(p0, 1)
+    alone, where a carry leaves a lane below the last of its row."""
+    rng, mask = random.Random(N), (1 << N) - 1
+    p0, p1, p2, p3 = (rng.getrandbits(N) for _ in range(4))
+    if kind == "random":
+        return [p0, p1, p2, p3]
+    flipped = ~rotate(p0, 1, N) & mask
+    if kind == "zero columns":
+        keep = mask ^ sum(1 << j for j in rng.sample(range(N), 3))
+        return [p & keep for p in (p0, p1, p0 ^ p1, flipped)]
+    return [p0, flipped, p2, p0 ^ p2] if kind == "complement" else [p0, flipped]
+
+
+@pytest.mark.parametrize("kind", ["random", "zero columns", "complement", "pair"])
+@pytest.mark.parametrize("N", [256, 273, 300, 511])
+def test_byte_lanes_match_counter_kernel(monkeypatch, N, kind):
+    # byte lanes at 256 <= N < 512, where a popcount can carry out of its
+    # lane: the total and the first (i, j, u) at both extremes equal the
+    # 16-bit oracle's, over forked sweeps; a sweep with any popcount above
+    # 255, the diagonal's included, is rerun in 2-byte lanes (w = 9)
+    planes = forged_planes(N, kind)
+    total, first, _ = counter_cross_transform(planes, N)
+    bits = span(planes)[1:]
+    auto = max((s ^ rotate(s, u, N)).bit_count() for s in bits for u in range(N))
+    widths, lane_counter = [], analysis._lane_counter
+    monkeypatch.setattr(analysis, "_lane_counter", lambda lanes, w: widths.append(w)
+                        or lane_counter(lanes, w))
+    monkeypatch.setattr(analysis, "_FORK_AFTER_S", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    got, got_first = analysis._cross_transform(planes, N)
+    assert no_child_left()
+    assert got == total
+    assert [got_first(pc) for pc in (min(total), max(total))] == [
+        first(pc) for pc in (min(total), max(total))]
+    assert widths == ([8, 9] if max(auto, *total) > 255 else [8])
+    if kind in ("complement", "pair"):
+        assert max(total) == N
 
 
 def test_sampled_report_equal_on_one_and_three_cpus(monkeypatch):
@@ -364,12 +417,12 @@ def test_span_family_auto_report_matches_per_row_oracle(fam):
             assert (rep.max_auto, rep.auto_witness) == want
 
 
-def test_negative_correlation_violation_raises():
-    fam = cached_family(7, 16, 2)
+def assert_negative_violation_raises(n, t):
+    fam = cached_family(n, t, 2)
     N, s = fam.N, fam.bits[0]
     # planes s and ~rot(s, 1): C_u(s, ~rot(s, 1)) = -C_{u+1}(s, s), -N at
     # u = N - 1 and within the bound elsewhere, as is every autocorrelation
-    fake = SequenceFamily(n=7, t=16, d=2, N=N, planes=(s, ~rotate(s, 1, N) & ((1 << N) - 1)))
+    fake = SequenceFamily(n=n, t=t, d=2, N=N, planes=(s, ~rotate(s, 1, N) & ((1 << N) - 1)))
     bound = corr_bound(fake.q, fake.t, fake.d)
     assert bound < N
     row1 = fake.bits[1]
@@ -379,6 +432,16 @@ def test_negative_correlation_violation_raises():
                        match=re.escape(f"|-{N}| > bound {bound} at cross (i, j, u) = "
                                        f"(0, 1, {N - 1})") + "$"):
         family_correlation(fake)
+
+
+def test_negative_correlation_violation_raises():
+    assert_negative_violation_raises(7, 16)
+
+
+def test_negative_correlation_violation_raises_at_q256():
+    # N = 273: the popcount 273 carries out of its byte lane, which the lane
+    # sum catches, and the sweep reruns in 2-byte lanes to name the witness
+    assert_negative_violation_raises(8, 16)
 
 
 def test_autocorrelations_are_checked_before_cross_correlations():
