@@ -35,7 +35,7 @@ DEFAULT_BUDGET_MS = 10_000  # estimated exhaustive sweep time allowed without EC
 _OPS_PER_MS = 3500  # exhaustive lane operations per ms, at or below the slowest measured
 _FORK_AFTER_S = 0.1  # a per-delay sweep forks once the delays after its first would take this long
 _SAMPLE_BLOCK = 4096  # sampled probes held in memory at a time
-_CHUNK = 1 << 20  # lanes transposed at a time, a multiple of 8, so the masks stay small
+_CHUNK = 1 << 20  # lanes transposed and counted at a time, a multiple of 8: bounds the masks and planes
 _TRANSPOSE = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 

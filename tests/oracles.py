@@ -81,7 +81,7 @@ def counter_cross_transform(planes: list[int], N: int):
              for c in zip(*(format(s, f"0{N}b") for s in reversed(bits)))][::-1]
 
     def lanes(u: int) -> array:
-        """out[b*M + i] = popcount(s_i ^ rotate(s_b, u, N)), i = b at k % (M + 1) == 0."""
+        """out[b*M + i] = popcount(s_i ^ rotate(s_b, u, N)); i = b where k % (M + 1) == 0."""
         buckets = [0] * (M + 1)
         for c, x in zip(cols[u:] + cols[:u], signs):
             buckets[c] += x

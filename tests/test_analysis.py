@@ -178,9 +178,10 @@ def on_three_cpus(monkeypatch, fam, **kwargs):
 @pytest.mark.parametrize("n,t,d", [(8, -16, 2), (8, 16, 2), (4, -1, 3), (2, -2, 2)])
 def test_cross_transform_matches_counter_kernel(monkeypatch, n, t, d):
     # N = 241 and N = 273 at M = 255 (byte lanes, the second held to the lane
-    # sum), a d = 3 family and the smallest; every delay's counts, then the report with its witnesses.  One
-    # CPU, so that every delay is counted in this process and recorded here;
-    # then the same report from forked sweeps (N = 3 leaves too few delays)
+    # sum), a d = 3 family and the smallest; every delay's counts, then the
+    # report with its witnesses.  One CPU, so that every delay is counted in
+    # this process and recorded here; then the same report from forked sweeps
+    # (N = 3 leaves too few delays)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     fam = cached_family(n, t, d)
     total, first, per_u = counter_cross_transform(list(fam.planes), fam.N)
@@ -188,7 +189,8 @@ def test_cross_transform_matches_counter_kernel(monkeypatch, n, t, d):
 
     def recording(lanes, w):
         count = lane_counter(lanes, w)
-        return lambda raw: seen.append(count(raw)) or Counter(seen[-1])  # the kernel's to change
+        # a copy, as the kernel subtracts the diagonal from what it gets in place
+        return lambda raw: seen.append(count(raw)) or Counter(seen[-1])
     monkeypatch.setattr(analysis, "_lane_counter", recording)
     report = family_correlation(fam)
     # the lanes i = b hold row i's autocorrelation at u, which the kernel
