@@ -11,7 +11,8 @@ buckets P[col_{j+u}] += (-1)^s_i(j), one lane per row i, counted by bit planes,
 and C_u(a, b) = C_{N-u}(b, a) gives u > N/2.  A lane is one byte below N = 512,
 where a carry out of a lane shows in the lanes' sum, and two bytes above.
 Sampled mode replays random.Random(seed).randrange's draws from getrandbits and
-reads each probe's rotation as a window of b|b<<N.  Cyclic linear complexity,
+reads each probe's rotation as a window of b|b<<N; the probes are one share of the
+autocorrelation sweep's dealing, folded after it.  Cyclic linear complexity,
 N - deg gcd(S(x), x^N+1), reads their images' span: s(x+1) at N = 2^k, else
 s mod gcd(x^N+1, the rows' product).
 """
@@ -53,7 +54,8 @@ class CorrelationReport(namedtuple(
         "cross_witness mode identities_ok samples seed", defaults=(None, None))):
     """max_cross is None when M = 1; histogram maps C to its count; auto_witness
     is (i, u), None when N = 1, and cross_witness (i, j, u); mode is "exhaustive"
-    or "sampled"; identities_ok is counting_identity_check's verdict."""
+    or "sampled"; identities_ok is the Serre form, |2*N_0 - q - 1| =
+    |C + t| <= (2d+1)*floor(2*sqrt(q)), on every auto and cross value seen."""
 
     __slots__ = ()
 
@@ -99,25 +101,30 @@ def exhaustive_allowed(family: SequenceFamily) -> bool:
     return family.N < 2**16 and family.M * (family.M + 1) * (family.N // 2 + 1) <= budget
 
 
-def _dealt(count: Callable, us: range) -> list[dict]:
-    """[count(u) for u in us].  The first delay runs here and is timed; if the
-    rest would take _FORK_AFTER_S or more at that rate, they are dealt
-    round-robin over this process and one forked child per further CPU it may
-    run on, unless it runs a second thread.  A child marshals its share's
-    counts back through a pipe and leaves by os._exit; a share whose child
-    fails, or cannot be forked, is counted here, so any exception is raised
-    here.  Every child is reaped on return."""
+def _dealt(count: Callable, us: range, side: Callable | None = None) -> tuple[list[dict], object]:
+    """([count(u) for u in us], side() or None).  The first delay runs here and
+    is timed; if the rest would take _FORK_AFTER_S or more at that rate, they
+    are dealt round-robin over this process and one forked child per further
+    CPU it may run on, unless it runs a second thread; side, if given, then
+    takes one of those children to itself, and else runs here after the
+    delays.  A child marshals its share's results back through a pipe and
+    leaves by os._exit; a share whose child fails, or cannot be forked, is
+    run here, so any exception is raised here.  Every child is reaped on
+    return."""
     start = time.perf_counter()
+    run = lambda u: side() if u is None else dict(count(u))  # None: the side job
     out = {u: count(u) for u in us[:1]}
     rest, k = us[1:], 1
     threading = sys.modules.get("threading")  # forking a process with threads is unsafe
     if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")  # not on macOS or Windows
             and (threading is None or threading.active_count() == 1)
             and (time.perf_counter() - start) * len(rest) >= _FORK_AFTER_S):
-        k = max(1, min(len(os.sched_getaffinity(0)), len(rest)))
-    shares, children = [rest[i::k] for i in range(k)], {}  # pid: (read end, share)
+        k = max(1, min(len(os.sched_getaffinity(0)), len(rest) + (side is not None)))
+    dealers = k - (k > 1 and side is not None)  # processes that count delays
+    shares = [rest[i::dealers] for i in range(dealers)] + [[None]] * (side is not None)
+    children = {}  # pid: (read end, share)
     try:
-        for share in shares[1:]:
+        for share in shares[1:k]:
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -128,43 +135,46 @@ def _dealt(count: Callable, us: range) -> list[dict]:
             if pid == 0:
                 try:
                     with open(w, "wb") as pipe:
-                        pipe.write(marshal.dumps([dict(count(u)) for u in share]))
+                        pipe.write(marshal.dumps([run(u) for u in share]))
                     os._exit(0)
                 finally:
                     os._exit(1)
             os.close(w)
             children[pid] = (open(r, "rb"), share)
         for share in [shares[0], *shares[1 + len(children):]]:
-            out.update((u, count(u)) for u in share)
+            out.update((u, run(u)) for u in share)
         for pid, (pipe, share) in list(children.items()):
             with pipe:
                 data = pipe.read()
             os.waitpid(pid, 0)
             del children[pid]
             try:
-                counts = marshal.loads(data)  # a child that failed wrote none or a prefix
+                results = marshal.loads(data)  # a child that failed wrote none or a prefix
             except EOFError:
-                counts = map(count, share)
-            out.update(zip(share, counts))
+                results = map(run, share)
+            out.update(zip(share, results))
     finally:
         for pid, (pipe, _) in children.items():  # left by an exception
             import signal
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return [out[u] for u in us]
+    return [out[u] for u in us], out.get(None)
 
 
-def _per_delay(count: Callable, us: range, N: int) -> tuple[Counter, Callable]:
+def _per_delay(count: Callable, us: range, N: int,
+               side: Callable | None = None) -> tuple[Counter, Callable, object]:
     """count(u) totalled over us, twice where 2u % N != 0 as u stands for N - u
-    too, and where(pcs): the delays whose counts (only keys kept) hold a pc."""
+    too, where(pcs): the delays whose counts (only keys kept) hold a pc, and
+    side's result, run as _dealt's side job."""
     per_u, total = [], Counter()
-    for u, counts in zip(us, _dealt(count, us)):
+    counted, result = _dealt(count, us, side)
+    for u, counts in zip(us, counted):
         per_u.append((u, array("I", counts)))
         total.update(counts)
         if 2 * u % N:
             total.update(counts)
-    return total, lambda pcs: [u for u, keys in per_u if not pcs.isdisjoint(keys)]
+    return total, lambda pcs: [u for u, keys in per_u if not pcs.isdisjoint(keys)], result
 
 
 def _auto_values(planes: list[int], N: int, u: int) -> Iterator[int]:
@@ -174,15 +184,16 @@ def _auto_values(planes: list[int], N: int, u: int) -> Iterator[int]:
     return map(int.bit_count, span([p ^ (p | p << N) >> u & mask for p in planes])[1:])
 
 
-def _auto_transform(planes: list[int], N: int) -> tuple[Counter, Callable[[set], tuple]]:
+def _auto_transform(planes: list[int], N: int,
+                    side: Callable | None = None) -> tuple[Counter, Callable[[set], tuple], object]:
     """Counts of popcount(s_i ^ rotate(s_i, u)) over every (i, u), 0 < u < N, s_i
-    row i of span(planes)[1:], and first(pcs): the lexicographically first (i, u)
-    whose popcount is in pcs.  A_u = A_{N-u}: u <= N/2 is swept."""
-    total, where = _per_delay(lambda u: Counter(_auto_values(planes, N, u)),
-                              range(1, N // 2 + 1), N)
+    row i of span(planes)[1:], first(pcs): the lexicographically first (i, u)
+    whose popcount is in pcs, and side's result.  A_u = A_{N-u}: u <= N/2 is swept."""
+    total, where, result = _per_delay(lambda u: Counter(_auto_values(planes, N, u)),
+                                      range(1, N // 2 + 1), N, side)
     return total, lambda pcs: min(
         (next(i for i, pc in enumerate(_auto_values(planes, N, u)) if pc in pcs), u)
-        for u in where(pcs))
+        for u in where(pcs)), result
 
 
 def _lane_counter(lanes: int, w: int) -> Callable[[bytes], Counter]:
@@ -267,7 +278,7 @@ def _cross_transform(planes: list[int], N: int,
         c.subtract(Counter(_auto_values(planes, N, u)))  # the diagonal, i = b
         return +c
     try:
-        total, where = _per_delay(counts, range(N // 2 + 1), N)
+        total, where, _ = _per_delay(counts, range(N // 2 + 1), N)
     except OverflowError:
         if width > 1:
             raise
@@ -346,17 +357,12 @@ def family_correlation(family: SequenceFamily, sampled: int | None = None,
             "use sampled mode or raise ECSEQ_BUDGET_MS")
     auto = _Sweep(N, bound, "auto (i, u)")
     cross = _Sweep(N, bound, "cross (i, j, u)")
-    counts, first = _auto_transform(planes, N)
-    if bad := {pc for pc in counts if abs(N - 2 * pc) > bound}:
-        i = first(bad)[0]  # the first row out of bound raises on its own extremes
-        row, row_first = _auto_transform([bits[i]], N)
-        auto.fold(row, lambda pc: (i, row_first({pc})[1]))
-    auto.fold(counts, lambda pc: first({pc}))
-    if exhaustive:
-        cross.fold(*_cross_transform(planes, N))
-    elif mode == "sampled":
-        # Random(seed).randrange(n), inlined: draw n.bit_length() bits until below n
-        draw, mask = random.Random(seed).getrandbits, (1 << N) - 1
+
+    def probes() -> list[tuple[dict, tuple, tuple]]:
+        """Per block of probes: its popcount counts and its first draws at the
+        lowest and the highest popcount.  Random(seed).randrange(n), inlined:
+        draw n.bit_length() bits until below n."""
+        draw, mask, blocks = random.Random(seed).getrandbits, (1 << N) - 1, []
         kM, kJ, kN = M.bit_length(), (M - 1).bit_length(), N.bit_length()
         twice = [a | a << N for a in bits]  # row j rotated by u: twice[j] >> u & mask
         for start in range(0, sampled, _SAMPLE_BLOCK):
@@ -367,7 +373,19 @@ def family_correlation(family: SequenceFamily, sampled: int | None = None,
                 while (u := draw(kN)) >= N: pass
                 draws.append((i, j + (j >= i), u))
             pcs = [(bits[i] ^ twice[j] >> u & mask).bit_count() for i, j, u in draws]
-            cross.fold(Counter(pcs), lambda pc: draws[pcs.index(pc)])
+            counts = Counter(pcs)
+            blocks.append((dict(counts), draws[pcs.index(min(counts))], draws[pcs.index(max(counts))]))
+        return blocks
+    counts, first, blocks = _auto_transform(planes, N, probes if mode == "sampled" else None)
+    if bad := {pc for pc in counts if abs(N - 2 * pc) > bound}:
+        i = first(bad)[0]  # the first row out of bound raises on its own extremes
+        row, row_first, _ = _auto_transform([bits[i]], N)
+        auto.fold(row, lambda pc: (i, row_first({pc})[1]))
+    auto.fold(counts, lambda pc: first({pc}))
+    if exhaustive:
+        cross.fold(*_cross_transform(planes, N))
+    for block, lo, hi in blocks or ():  # in draw order, after every autocorrelation
+        cross.fold(block, {min(block): lo, max(block): hi}.get)
     hist = {N - 2 * pc: auto.popcounts[pc] + cross.popcounts[pc]
             for pc in auto.popcounts.keys() | cross.popcounts.keys()}
     max_cross = cross.max if M > 1 else None
@@ -376,7 +394,7 @@ def family_correlation(family: SequenceFamily, sampled: int | None = None,
         N=N, M=M, bound=bound, max_auto=auto.max, max_cross=max_cross,
         cor=cor, histogram=hist, auto_witness=auto.witness,
         cross_witness=cross.witness, mode=mode,
-        identities_ok=_serre_holds(family, auto.popcounts),
+        identities_ok=_serre_holds(family, auto.popcounts | cross.popcounts),
         samples=sampled if mode == "sampled" else None,
         seed=seed if mode == "sampled" else None)
 
@@ -452,7 +470,7 @@ def counting_identity_check(family: SequenceFamily) -> bool:
     """Per (row, delay): |2*N_0 - q - 1| <= (2d+1)*floor(2*sqrt(q)), with
     N_0 the agreement count of the row and its shift.  This Serre-form
     bound is the one the proof uses; since 2*N_0 - q - 1 = A_u + t, it
-    implies |A_u| <= the family bound.  Exhaustive; family_correlation
-    reports the same verdict as identities_ok.
+    implies |A_u| <= the family bound.  Exhaustive; family_correlation's
+    identities_ok holds the cross values to it as well.
     """
     return _serre_holds(family, _auto_transform(family.planes, family.N)[0])

@@ -261,7 +261,7 @@ def test_dealt_recomputes_failed_shares_and_raises_here(monkeypatch):
         if os.getpid() != parent:
             raise RuntimeError("child")
         return {u % 4: u}
-    assert analysis._dealt(in_parent_only, us) == [{u % 4: u} for u in us]
+    assert analysis._dealt(in_parent_only, us) == ([{u % 4: u} for u in us], None)
     assert no_child_left()
 
     def fails_at_eight(u):  # 8 is in a child's share; the parent's recount raises
@@ -271,6 +271,62 @@ def test_dealt_recomputes_failed_shares_and_raises_here(monkeypatch):
     with pytest.raises(ValueError, match=f"u = 8 in {parent}$"):
         analysis._dealt(fails_at_eight, us)
     assert no_child_left()
+
+
+def test_dealt_runs_the_side_job_in_its_own_child(monkeypatch):
+    # three CPUs: the delays are dealt over this process and one child, and
+    # the side job gets a child of its own; on one CPU it runs here, last
+    monkeypatch.setattr(analysis, "_FORK_AFTER_S", 0)
+    forks, fork, parent, us, order = [], os.fork, os.getpid(), range(3, 13), []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for cpus, forked in [({0, 1, 2}, 2), ({0}, 0)]:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        forks.clear()
+        counts, side = analysis._dealt(lambda u: order.append(u) or {u: os.getpid()}, us,
+                                       lambda: order.append(None) or os.getpid())
+        assert [c.keys() for c in counts] == [{u} for u in us]
+        assert (side != parent, len(forks)) == (bool(forked), forked)
+        assert no_child_left()
+    assert order[-1] is None and order[-11:-1] == list(us)
+
+
+def test_dealt_reruns_a_failed_side_job_here(monkeypatch):
+    monkeypatch.setattr(analysis, "_FORK_AFTER_S", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent, us = os.getpid(), range(1, 6)
+
+    def side():
+        if os.getpid() != parent:
+            raise RuntimeError("child")
+        return [("here", 1)]
+    assert analysis._dealt(lambda u: {u: 1}, us, side) == ([{u: 1} for u in us], [("here", 1)])
+    assert no_child_left()
+
+    def failing():
+        raise ValueError(f"side in {os.getpid()}")
+    with pytest.raises(ValueError, match=f"side in {parent}$"):  # the child's failure, rerun here
+        analysis._dealt(lambda u: {u: 1}, us, failing)
+    assert no_child_left()
+
+
+def test_auto_violation_is_raised_before_a_probe_violation_on_both_paths(monkeypatch):
+    # planes s and ~s: row 2, all ones, breaks the bound at every delay, and
+    # the probes of the pair (0, 1) at u = 0 read -N, also out of bound; the
+    # auto error comes first whether the probes run here or in a child
+    fam = cached_family(7, 16, 2)
+    N, s = fam.N, fam.bits[0]
+    fake = SequenceFamily(n=7, t=16, d=2, N=N, planes=(s, ~s & ((1 << N) - 1)))
+    assert -N in sampled_report(fake, 10_000, 0)["histogram"]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with pytest.raises(BoundViolationError, match=r"auto \(i, u\) = \(2, 1\)$"):
+        family_correlation(fake, sampled=10_000)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(analysis, "_FORK_AFTER_S", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    with pytest.raises(BoundViolationError, match=r"auto \(i, u\) = \(2, 1\)$"):
+        family_correlation(fake, sampled=10_000)
+    assert forks and no_child_left()
 
 
 def test_sweep_without_fork_runs_serially(monkeypatch):
@@ -658,6 +714,28 @@ def test_counting_identity_failure_at_two_delays_is_found():
             <= corr_bound(fam.q, fam.t, fam.d) == 257)
     assert counting_identity_check(fam) is False
     assert family_correlation(fam, sampled=10_000).identities_ok is False
+
+
+@pytest.mark.parametrize("sampled", [None, 1000])
+def test_serre_form_covers_cross_values(monkeypatch, sampled):
+    # (7, 16, 2): N = 145, bound 126, Serre limit 110.  A cross popcount of 22
+    # is C = 101, within the bound, but |C + t| = 117 breaks the Serre form;
+    # it is added to the exhaustive sweep's counts, or to the probes' first block
+    fam = cached_family(7, 16, 2)
+    assert family_correlation(fam, sampled=sampled).identities_ok
+    cross, auto = analysis._cross_transform, analysis._auto_transform
+
+    def with_22(planes, N):
+        total, first = cross(planes, N)
+        return total + Counter({22: 1}), lambda pc: (0, 1, 0) if pc == 22 else first(pc)
+
+    def probed_22(planes, N, side=None):
+        total, first, blocks = auto(planes, N, side)
+        return total, first, blocks and [({22: 1}, (0, 1, 0), (0, 1, 0)), *blocks]
+    monkeypatch.setattr(analysis, "_cross_transform", with_22)
+    monkeypatch.setattr(analysis, "_auto_transform", probed_22)
+    report = family_correlation(fam, sampled=sampled)
+    assert (report.max_cross, report.bound, report.identities_ok) == (101, 126, False)
 
 
 def test_bound_violation_raises():

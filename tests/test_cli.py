@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,22 @@ def test_analyze_exits_3_on_counting_identity_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(analysis, "_serre_holds", lambda *a: False)
     assert run(["analyze", fam, "--out", rep]) == 3
     assert json.loads(rep.read_text())["counting_identities_ok"] is False
+
+
+def test_analyze_exits_3_on_a_cross_value_outside_the_serre_form(tmp_path, monkeypatch):
+    # (7, 16, 2), N = 145: a cross popcount of 22 is C = 101, within the bound
+    # 126, but |C + 16| = 117 exceeds the Serre limit 5 * floor(2 * sqrt(128)) = 110
+    fam, rep = tmp_path / "fam.ecseq", tmp_path / "rep.json"
+    write_family(cached_family(7, 16, 2), fam)
+    cross = analysis._cross_transform
+
+    def with_22(planes, N):
+        total, first = cross(planes, N)
+        return total + Counter({22: 1}), lambda pc: (0, 1, 0) if pc == 22 else first(pc)
+    monkeypatch.setattr(analysis, "_cross_transform", with_22)
+    assert run(["analyze", fam, "--out", rep]) == 3
+    report = json.loads(rep.read_text())
+    assert (report["correlation"]["max_cross"], report["counting_identities_ok"]) == (101, False)
 
 
 def test_analyze_exits_3_on_correlation_bound_failure(tmp_path, capsys, monkeypatch):
