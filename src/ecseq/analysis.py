@@ -12,7 +12,8 @@ and C_u(a, b) = C_{N-u}(b, a) gives u > N/2.  A lane is one byte below N = 512,
 where a carry out of a lane shows in the lanes' sum, and two bytes above.
 Sampled mode replays random.Random(seed).randrange's draws from getrandbits and
 reads each probe's rotation as a window of b|b<<N; the probes are one share of the
-autocorrelation sweep's dealing, folded after it.  Cyclic linear complexity,
+autocorrelation sweep's dealing, which returns their counts and first draws at
+both extreme popcounts, folded once after it.  Cyclic linear complexity,
 N - deg gcd(S(x), x^N+1), reads their images' span: s(x+1) at N = 2^k, else
 s mod gcd(x^N+1, the rows' product).
 """
@@ -165,7 +166,7 @@ def _dealt(count: Callable, us: range, side: Callable | None = None) -> tuple[li
 def _per_delay(count: Callable, us: range, N: int,
                side: Callable | None = None) -> tuple[Counter, Callable, object]:
     """count(u) totalled over us, twice where 2u % N != 0 as u stands for N - u
-    too, where(pcs): the delays whose counts (only keys kept) hold a pc, and
+    too, where(pc): the delays whose counts (only keys kept) hold pc, and
     side's result, run as _dealt's side job."""
     per_u, total = [], Counter()
     counted, result = _dealt(count, us, side)
@@ -174,7 +175,7 @@ def _per_delay(count: Callable, us: range, N: int,
         total.update(counts)
         if 2 * u % N:
             total.update(counts)
-    return total, lambda pcs: [u for u, keys in per_u if not pcs.isdisjoint(keys)], result
+    return total, lambda pc: [u for u, keys in per_u if pc in keys], result
 
 
 def _auto_values(planes: list[int], N: int, u: int) -> Iterator[int]:
@@ -185,15 +186,14 @@ def _auto_values(planes: list[int], N: int, u: int) -> Iterator[int]:
 
 
 def _auto_transform(planes: list[int], N: int,
-                    side: Callable | None = None) -> tuple[Counter, Callable[[set], tuple], object]:
+                    side: Callable | None = None) -> tuple[Counter, Callable[[int], tuple], object]:
     """Counts of popcount(s_i ^ rotate(s_i, u)) over every (i, u), 0 < u < N, s_i
-    row i of span(planes)[1:], first(pcs): the lexicographically first (i, u)
-    whose popcount is in pcs, and side's result.  A_u = A_{N-u}: u <= N/2 is swept."""
+    row i of span(planes)[1:], first(pc): the lexicographically first (i, u)
+    with popcount pc, and side's result.  A_u = A_{N-u}: u <= N/2 is swept."""
     total, where, result = _per_delay(lambda u: Counter(_auto_values(planes, N, u)),
                                       range(1, N // 2 + 1), N, side)
-    return total, lambda pcs: min(
-        (next(i for i, pc in enumerate(_auto_values(planes, N, u)) if pc in pcs), u)
-        for u in where(pcs)), result
+    return total, lambda pc: min(
+        (list(_auto_values(planes, N, u)).index(pc), u) for u in where(pc)), result
 
 
 def _lane_counter(lanes: int, w: int) -> Callable[[bytes], Counter]:
@@ -286,7 +286,7 @@ def _cross_transform(planes: list[int], N: int,
 
     def first(pc: int) -> tuple[int, int, int]:
         hits, key = [], int.from_bytes(pc.to_bytes(width, "little"), sys.byteorder)  # pc's lane
-        for u in where({pc}):
+        for u in where(pc):
             pcs, k = array("BH"[width - 1], lanes(u)), -1  # native byte order
             for _ in range(pcs.count(key)):
                 k = pcs.index(key, k + 1)
@@ -305,33 +305,21 @@ def _serre_holds(family: SequenceFamily, popcounts: Iterable[int]) -> bool:
     return all(abs(2 * (N - pc) - q - 1) <= serre for pc in popcounts)
 
 
-class _Sweep:
-    """Popcount histogram and first maximiser of one correlation kind."""
-
-    def __init__(self, N: int, bound: int, kind: str):
-        self.N, self.bound, self.kind = N, bound, kind
-        self.popcounts: Counter = Counter()
-        self.max, self.witness = -N - 1, None
-
-    def fold(self, counts: Counter, first: Callable[[int], tuple]) -> None:
-        """Add one block of popcount counts; first(pc) names the (i, u) or
-        (i, j, u) where pc first occurs in witness order.
-
-        Correlation is N - 2*popcount, so the extreme popcounts are the
-        extreme correlations, and both are held to |c| <= bound, the largest
-        correlation checked first.  The strict > keeps the first maximiser.
-        """
-        if not counts:
-            return
-        lo, hi = min(counts), max(counts)
-        for pc in (lo, hi):
-            if abs(self.N - 2 * pc) > self.bound:
-                raise BoundViolationError(
-                    f"|{self.N - 2 * pc}| > bound {self.bound} at {self.kind} = {first(pc)}")
-        self.popcounts.update(counts)
-        if self.N - 2 * lo > self.max:
-            self.max = self.N - 2 * lo
-            self.witness = first(lo)
+def _extreme(N: int, bound: int, kind: str, counts: dict,
+             first: Callable[[int], tuple]) -> tuple[int, tuple | None]:
+    """The largest correlation in one kind's popcount counts and first(pc) at
+    it, or (-N - 1, None) with no counts; first(pc) names the (i, u) or
+    (i, j, u) where pc first occurs in witness order.  Correlation is
+    N - 2*popcount, so the extreme popcounts are the extreme correlations,
+    and both are held to |c| <= bound, the largest correlation checked first.
+    """
+    if not counts:
+        return -N - 1, None
+    lo = min(counts)
+    for pc in (lo, max(counts)):
+        if abs(N - 2 * pc) > bound:
+            raise BoundViolationError(f"|{N - 2 * pc}| > bound {bound} at {kind} = {first(pc)}")
+    return N - 2 * lo, first(lo)
 
 
 def family_correlation(family: SequenceFamily, sampled: int | None = None,
@@ -343,7 +331,9 @@ def family_correlation(family: SequenceFamily, sampled: int | None = None,
     cross triples and still sweeps every autocorrelation.  Witnesses are
     the first maximiser in (i, u) and (i, j, u) order, or in draw order
     when sampled.  The autocorrelations are checked against the bound row
-    by row, before any cross-correlation.
+    by row, before any cross-correlation.  Each kind is folded once, so a
+    cross violation names the first (i, j, u), or the first draw, at the
+    extreme out of bound, the largest correlation checked first.
     """
     if sampled is not None and sampled < 1:
         raise ValidationError(f"sampled probe count {sampled} is below 1")
@@ -355,14 +345,13 @@ def family_correlation(family: SequenceFamily, sampled: int | None = None,
         raise ValidationError(
             f"exhaustive sweep over M={M} rows exceeds the budget; "
             "use sampled mode or raise ECSEQ_BUDGET_MS")
-    auto = _Sweep(N, bound, "auto (i, u)")
-    cross = _Sweep(N, bound, "cross (i, j, u)")
 
-    def probes() -> list[tuple[dict, tuple, tuple]]:
-        """Per block of probes: its popcount counts and its first draws at the
-        lowest and the highest popcount.  Random(seed).randrange(n), inlined:
-        draw n.bit_length() bits until below n."""
-        draw, mask, blocks = random.Random(seed).getrandbits, (1 << N) - 1, []
+    def probes() -> tuple[dict, dict]:
+        """The probes' popcount counts, and their first draws at the lowest
+        and the highest popcount, drawn _SAMPLE_BLOCK at a time; a global
+        extreme first occurs in a block where it is that block's extreme.
+        Random(seed).randrange(n), inlined: draw n.bit_length() bits until below n."""
+        draw, mask, counts, firsts = random.Random(seed).getrandbits, (1 << N) - 1, Counter(), {}
         kM, kJ, kN = M.bit_length(), (M - 1).bit_length(), N.bit_length()
         twice = [a | a << N for a in bits]  # row j rotated by u: twice[j] >> u & mask
         for start in range(0, sampled, _SAMPLE_BLOCK):
@@ -373,28 +362,26 @@ def family_correlation(family: SequenceFamily, sampled: int | None = None,
                 while (u := draw(kN)) >= N: pass
                 draws.append((i, j + (j >= i), u))
             pcs = [(bits[i] ^ twice[j] >> u & mask).bit_count() for i, j, u in draws]
-            counts = Counter(pcs)
-            blocks.append((dict(counts), draws[pcs.index(min(counts))], draws[pcs.index(max(counts))]))
-        return blocks
-    counts, first, blocks = _auto_transform(planes, N, probes if mode == "sampled" else None)
-    if bad := {pc for pc in counts if abs(N - 2 * pc) > bound}:
-        i = first(bad)[0]  # the first row out of bound raises on its own extremes
+            block = Counter(pcs)
+            counts.update(block)
+            for pc in (min(block), max(block)):
+                firsts.setdefault(pc, draws[pcs.index(pc)])
+        return dict(counts), {pc: firsts[pc] for pc in (min(counts), max(counts))}
+    auto, first, probed = _auto_transform(planes, N, probes if mode == "sampled" else None)
+    if bad := [pc for pc in auto if abs(N - 2 * pc) > bound]:
+        i = min(map(first, bad))[0]  # the first row out of bound raises on its own extremes
         row, row_first, _ = _auto_transform([bits[i]], N)
-        auto.fold(row, lambda pc: (i, row_first({pc})[1]))
-    auto.fold(counts, lambda pc: first({pc}))
-    if exhaustive:
-        cross.fold(*_cross_transform(planes, N))
-    for block, lo, hi in blocks or ():  # in draw order, after every autocorrelation
-        cross.fold(block, {min(block): lo, max(block): hi}.get)
-    hist = {N - 2 * pc: auto.popcounts[pc] + cross.popcounts[pc]
-            for pc in auto.popcounts.keys() | cross.popcounts.keys()}
-    max_cross = cross.max if M > 1 else None
-    cor = auto.max if max_cross is None else max(auto.max, max_cross)
-    return CorrelationReport(
-        N=N, M=M, bound=bound, max_auto=auto.max, max_cross=max_cross,
-        cor=cor, histogram=hist, auto_witness=auto.witness,
-        cross_witness=cross.witness, mode=mode,
-        identities_ok=_serre_holds(family, auto.popcounts | cross.popcounts),
+        _extreme(N, bound, "auto (i, u)", row, lambda pc: (i, row_first(pc)[1]))
+    max_auto, auto_witness = _extreme(N, bound, "auto (i, u)", auto, first)
+    cross, first = _cross_transform(planes, N) if exhaustive else (Counter(), None)
+    if probed:  # after every autocorrelation
+        cross, first = Counter(probed[0]), probed[1].get
+    max_cross, cross_witness = _extreme(N, bound, "cross (i, j, u)", cross, first)
+    return CorrelationReport(  # max_cross is -N - 1 at M = 1, below every correlation
+        N=N, M=M, bound=bound, max_auto=max_auto, max_cross=max_cross if M > 1 else None,
+        cor=max(max_auto, max_cross), histogram={N - 2 * pc: k for pc, k in (auto + cross).items()},
+        auto_witness=auto_witness, cross_witness=cross_witness, mode=mode,
+        identities_ok=_serre_holds(family, auto + cross),
         samples=sampled if mode == "sampled" else None,
         seed=seed if mode == "sampled" else None)
 

@@ -81,19 +81,6 @@ class Curve:
         assert isinstance(fld, ExtFieldContext) and fld.base is self.ctx
         return tuple(map(fld.embed, coeffs))
 
-    # -- point predicates --------------------------------------------------
-
-    def on_curve(self, P: Point, fld: FieldContext | None = None) -> bool:
-        if P.is_infinity:
-            return True
-        fld = fld or self.ctx
-        a1, a2, a3, a4, a6 = self.coeffs_in(fld)
-        m = fld.mul
-        x, y = P.x, P.y
-        lhs = m(y, y) ^ m(a1, m(x, y)) ^ m(a3, y)
-        rhs = m(x, m(x, x)) ^ m(a2, m(x, x)) ^ m(a4, x) ^ a6
-        return lhs == rhs
-
     # -- group law ----------------------------------------------------------
 
     def neg(self, P: Point, fld: FieldContext | None = None) -> Point:

@@ -139,11 +139,25 @@ def brute_lc(s: int, N: int) -> int:
     return N
 
 
+def on_curve(curve, P: Point, fld=None) -> bool:
+    """P satisfies y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6 over fld,
+    the curve's own field by default; O always does."""
+    if P.is_infinity:
+        return True
+    fld = fld or curve.ctx
+    a1, a2, a3, a4, a6 = curve.coeffs_in(fld)
+    m = fld.mul
+    x, y = P.x, P.y
+    lhs = m(y, y) ^ m(a1, m(x, y)) ^ m(a3, y)
+    rhs = m(x, m(x, x)) ^ m(a2, m(x, x)) ^ m(a4, x) ^ a6
+    return lhs == rhs
+
+
 def rational_points(curve) -> list[Point]:
     """O, then every (x, y) in GF(q)^2 on the curve, in (x, y) order."""
     q = curve.ctx.q
     pts = (Point(x, y) for x in range(q) for y in range(q))
-    return [INFINITY, *filter(curve.on_curve, pts)]
+    return [INFINITY, *(P for P in pts if on_curve(curve, P))]
 
 
 def per_point_enumeration(curve, ext, d):

@@ -534,6 +534,26 @@ def test_sampled_probes_replay_randrange(fam, k, seed):
     assert {key: getattr(rep, key) for key in want} == want
 
 
+def test_sampled_results_do_not_depend_on_the_block_size(monkeypatch):
+    # probes drawn 1 and 4096 at a time give the same report on a valid family
+    # and the same error on a forged one: three random planes of length 61,
+    # bound 21 and autocorrelations within 19, where seed 1's first probe out
+    # of bound reads C = -23 at (5, 0, 12), but the largest correlation drawn
+    # is 25, first at (5, 1, 45), which the error names as exhaustive mode would
+    rng = random.Random(61)
+    planes = tuple(rng.getrandbits(61) for _ in range(3))
+    forged = SequenceFamily(n=2, t=1, d=2, N=61, planes=planes)
+    seen = []
+    for block in (1, 4096):
+        monkeypatch.setattr(analysis, "_SAMPLE_BLOCK", block)
+        with pytest.raises(BoundViolationError) as err:
+            family_correlation(forged, sampled=2000, seed=1)
+        seen.append((family_correlation(cached_family(7, 16, 2), sampled=3000, seed=4),
+                     str(err.value)))
+    assert seen[0] == seen[1]
+    assert seen[0][1] == "|25| > bound 21 at cross (i, j, u) = (5, 1, 45)"
+
+
 def test_sampled_mode_is_lower_estimate():
     fam = cached_family(3, 4, 2)
     full = family_correlation(fam)
@@ -720,7 +740,8 @@ def test_counting_identity_failure_at_two_delays_is_found():
 def test_serre_form_covers_cross_values(monkeypatch, sampled):
     # (7, 16, 2): N = 145, bound 126, Serre limit 110.  A cross popcount of 22
     # is C = 101, within the bound, but |C + t| = 117 breaks the Serre form;
-    # it is added to the exhaustive sweep's counts, or to the probes' first block
+    # it is added to the exhaustive sweep's counts, or to the probes' counts
+    # as their lowest popcount, first drawn as (0, 1, 0)
     fam = cached_family(7, 16, 2)
     assert family_correlation(fam, sampled=sampled).identities_ok
     cross, auto = analysis._cross_transform, analysis._auto_transform
@@ -730,8 +751,8 @@ def test_serre_form_covers_cross_values(monkeypatch, sampled):
         return total + Counter({22: 1}), lambda pc: (0, 1, 0) if pc == 22 else first(pc)
 
     def probed_22(planes, N, side=None):
-        total, first, blocks = auto(planes, N, side)
-        return total, first, blocks and [({22: 1}, (0, 1, 0), (0, 1, 0)), *blocks]
+        total, first, probed = auto(planes, N, side)
+        return total, first, probed and ({**probed[0], 22: 1}, {**probed[1], 22: (0, 1, 0)})
     monkeypatch.setattr(analysis, "_cross_transform", with_22)
     monkeypatch.setattr(analysis, "_auto_transform", probed_22)
     report = family_correlation(fam, sampled=sampled)
