@@ -8,8 +8,11 @@ rot(s, u) is linear, so every row's autocorrelation at u is in the span of the
 planes' deltas.  For the cross sweep, with col_j the planes' bits
 at position j, C_u(s_i, s_b) is the Walsh-Hadamard transform at b + 1 of the
 buckets P[col_{j+u}] += (-1)^s_i(j), one lane per row i, counted by bit planes,
-and C_u(a, b) = C_{N-u}(b, a) gives u > N/2.  A lane is one byte below N = 512,
-where a carry out of a lane shows in the lanes' sum, and two bytes above.
+and C_u(a, b) = C_{N-u}(b, a) gives u > N/2.  The lanes i = b are not counted;
+when the rows share a mirror, s_j = s_{(c-j) mod N}, as every d = 2 family's
+do, C_u(a, b) = C_u(b, a) and the lanes i < b are counted twice.  A lane is one
+byte below N = 512, where a carry out of a lane shows in the lanes' sum, and
+two bytes above.
 Sampled mode replays random.Random(seed).randrange's draws from getrandbits and
 reads each probe's rotation as a window of b|b<<N; the probes are one share of the
 autocorrelation sweep's dealing, which returns their counts and first draws at
@@ -232,6 +235,14 @@ def _lane_counter(lanes: int, w: int) -> Callable[[bytes], Counter]:
     return count
 
 
+def _mirror(cols: list[int]) -> int | None:
+    """c with col_j = col_{(c-j) mod N} at every j, so s_j = s_{(c-j) mod N} on
+    every row, or None: the first rotation of the reversed columns equal to them."""
+    text = "".join(map(chr, cols))
+    o = (text[::-1] * 2).find(text)
+    return None if o < 0 else len(cols) - 1 - o
+
+
 def _cross_transform(planes: list[int], N: int,
                      width: int = 1) -> tuple[Counter, Callable[[int], tuple]]:
     """Popcount counts over every (i, j, u) with i != j, rows span(planes)[1:],
@@ -240,16 +251,19 @@ def _cross_transform(planes: list[int], N: int,
     Row b reads bucket b + 1, so the planes need not be independent.  Delay
     u <= N/2 of the ordered pair (i, b) also stands for (b, i, N-u).  A lane
     holds popcount(s_i ^ rot(s_b, u)) = (N - C_u) / 2 in [0, N], in `width`
-    bytes, 2 at N >= 512; lanes i = b hold the delay's autocorrelations, which
-    are subtracted.  With h = (M+1)/2 rows odd at each nonzero col_j, Z of them
-    and Z_u nonzero at both j and j+u, the M^2 lanes sum to 2hM*Z - 2h^2*Z_u,
-    and each carry out of a byte lane takes 255 from the sum of the bytes: at
-    N >= 256 a mismatch, or to_bytes' OverflowError, reruns the sweep in 2 bytes.
+    bytes, 2 at N >= 512.  Row b's lanes i != b are counted, or its lanes i < b
+    twice when the rows share a mirror (_mirror): C_u(s_i, s_b) = C_u(s_b, s_i).
+    With h = (M+1)/2 rows odd at each nonzero col_j, Z of them and Z_u nonzero at
+    both j and j+u, the M^2 lanes sum to 2hM*Z - 2h^2*Z_u.  Each carry out of a
+    byte lane up to a row's last one read takes 255 or more from the counted
+    bytes' sum, doubled when mirrored, plus the diagonal's: at N >= 256 a
+    mismatch, or to_bytes' OverflowError, reruns the sweep in 2 bytes.
     """
     width = max(width, 1 + (N >= 512))
     bits = span(planes)[1:]
     M, w = len(bits), min(8 * width, N.bit_length())
     cols = [sum((p >> j & 1) << k for k, p in enumerate(planes)) for j in range(N)]
+    half = _mirror(cols) is not None
     pad = "0" * (2 * width - 1)  # the hex digits of a lane above its last
     ones = int((pad + "1") * M, 16)
     spread = str.maketrans({"0": pad + "0", "1": pad + "1"})
@@ -257,26 +271,30 @@ def _cross_transform(planes: list[int], N: int,
              for c in zip(*(format(s, f"0{N}b") for s in reversed(bits)))][::-1]
     h, nonzero = (M + 1) // 2, sum(1 << j for j, c in enumerate(cols) if c)
 
-    def lanes(u: int) -> bytes:
-        """Lane b*M + i (little-endian) = popcount(s_i ^ rotate(s_b, u, N))."""
+    def lanes(u: int) -> tuple[list[bytes], int]:
+        """Each row b's counted lanes i, little-endian popcount(s_i ^ rotate(s_b, u,
+        N)), and the sum of the diagonal lanes' low bytes."""
         buckets = [0] * (M + 1)
         for c, x in zip(cols[u:] + cols[:u], signs):
             buckets[c] += x
         walsh_hadamard(buckets)
-        rows = [((N * ones - buckets.pop()) >> 1).to_bytes(width * M, "little")
-                for _ in range(M)]  # rows M-1 down to 0, each bucket freed once read
-        return b"".join(rows[::-1])
+        rows, diagonal = [], 0
+        for b in range(M - 1, -1, -1):  # each bucket freed once read
+            row = ((N * ones - buckets.pop()) >> 1).to_bytes(width * M, "little")
+            diagonal += row[b * width]
+            rows.append(row[:b * width] if half else row[:b * width] + row[(b + 1) * width:])
+        return rows[::-1], diagonal
 
-    count = _lane_counter(M * M, w)
+    count = _lane_counter(M * (M - 1) >> half, w)
 
-    def counts(u: int) -> Counter:
-        c = count(lanes(u))
+    def counts(u: int) -> dict:
+        rows, diagonal = lanes(u)
+        c = count(b"".join(rows))
         both = (nonzero & (nonzero | nonzero << N) >> u).bit_count()  # Z_u
-        if width == 1 and N >= 256 and sum(v * k for v, k in c.items()) != 2 * h * (
-                M * nonzero.bit_count() - h * both):
+        if width == 1 and N >= 256 and (sum(v * k for v, k in c.items()) << half) + diagonal != (
+                2 * h * (M * nonzero.bit_count() - h * both)):
             raise OverflowError(f"a byte lane carried at u = {u}")
-        c.subtract(Counter(_auto_values(planes, N, u)))  # the diagonal, i = b
-        return +c
+        return {pc: k << half for pc, k in c.items()}
     try:
         total, where, _ = _per_delay(counts, range(N // 2 + 1), N)
     except OverflowError:
@@ -285,13 +303,14 @@ def _cross_transform(planes: list[int], N: int,
         return _cross_transform(planes, N, 2)
 
     def first(pc: int) -> tuple[int, int, int]:
+        """A row's first lane holding pc gives its first (i, j, u) in order."""
         hits, key = [], int.from_bytes(pc.to_bytes(width, "little"), sys.byteorder)  # pc's lane
         for u in where(pc):
-            pcs, k = array("BH"[width - 1], lanes(u)), -1  # native byte order
-            for _ in range(pcs.count(key)):
-                k = pcs.index(key, k + 1)
-                b, i = divmod(k, M)
-                if i != b:
+            for b, row in enumerate(lanes(u)[0]):
+                pcs = array("BH"[width - 1], row)  # native byte order
+                if key in pcs:
+                    i = pcs.index(key)
+                    i += i >= b
                     hits.append((i, b, u) if i < b else (b, i, (N - u) % N))
         return min(hits)
 

@@ -25,6 +25,11 @@ def rotate(b: int, u: int, N: int) -> int:
     return ((b >> u) | (b << N - u)) & ((1 << N) - 1)
 
 
+def reflect(s: int, c: int, N: int) -> int:
+    """Bit j is bit (c - j) mod N of s: its N bits reversed, then rotated."""
+    return rotate(int(format(s, f"0{N}b")[::-1], 2), (N - 1 - c) % N, N)
+
+
 def corr(a: int, b: int, u: int, N: int) -> int:
     """C_u(a, b) = sum_j (-1)^(a_j + b_{j+u}), for 0 <= u < N."""
     return N - 2 * (a ^ rotate(b, u, N)).bit_count()
@@ -67,14 +72,18 @@ def sampled_report(fam, k: int, seed: int) -> dict:
             "samples": k, "seed": seed}
 
 
+def columns(planes: list[int], N: int) -> list[int]:
+    """col_j, whose bit k is bit j of plane k, for 0 <= j < N."""
+    return [sum((p >> j & 1) << k for k, p in enumerate(planes)) for j in range(N)]
+
+
 def counter_cross_transform(planes: list[int], N: int):
     """The exhaustive cross sweep with each delay's lanes counted by Counter, one
     value at a time: (total, first, per_u) with total and first as
     analysis._cross_transform returns them, and per_u the Counter of each delay
     u <= N/2 over its ordered pairs (b, i), i != b."""
     bits = span(planes)[1:]
-    M = len(bits)
-    cols = [sum((p >> j & 1) << k for k, p in enumerate(planes)) for j in range(N)]
+    M, cols = len(bits), columns(planes, N)
     ones = int("0001" * M, 16)
     spread = str.maketrans({"0": "0000", "1": "0001"})
     signs = [ones - 2 * int("".join(c).translate(spread), 16)  # lane i: (-1)^s_i(j)

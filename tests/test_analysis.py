@@ -16,10 +16,10 @@ from ecseq.analysis import (BoundViolationError, corr_bound,
                             counting_identity_check, exhaustive_allowed,
                             family_correlation, family_linear_complexity,
                             lc_bound_ceil, lc_bound_check)
-from ecseq.family import SequenceFamily
-from ecseq.gf2 import ValidationError, clmul, poly_gcd, span
-from oracles import (auto_report, brute_lc, corr, counter_cross_transform, rotate,
-                     sampled_report, serre_failures)
+from ecseq.family import SequenceFamily, family_sizes
+from ecseq.gf2 import MIN_DEGREE, ValidationError, clmul, poly_gcd, span
+from oracles import (auto_report, brute_lc, columns, corr, counter_cross_transform,
+                     reflect, rotate, sampled_report, serre_failures)
 
 
 def bits_and_delay(max_n=64):
@@ -189,15 +189,15 @@ def test_cross_transform_matches_counter_kernel(monkeypatch, n, t, d):
 
     def recording(lanes, w):
         count = lane_counter(lanes, w)
-        # a copy, as the kernel subtracts the diagonal from what it gets in place
-        return lambda raw: seen.append(count(raw)) or Counter(seen[-1])
+        return lambda raw: seen.append(count(raw)) or seen[-1]
     monkeypatch.setattr(analysis, "_lane_counter", recording)
     report = family_correlation(fam)
-    # the lanes i = b hold row i's autocorrelation at u, which the kernel
-    # subtracts from the delay's counts, leaving the oracle's per_u
-    bits, N = fam.bits, fam.N
-    diagonal = [Counter((s ^ rotate(s, u, N)).bit_count() for s in bits) for u in range(N // 2 + 1)]
-    assert [dict(c) for c in seen] == [dict(c + diag) for c, diag in zip(per_u, diagonal)]
+    # the d = 2 rows are mirrored, so a delay counts the lanes i < b, half of
+    # the oracle's per_u; the d = 3 family's rows are not, so it counts all
+    # the lanes i != b
+    halved = analysis._mirror(columns(fam.planes, fam.N)) is not None
+    assert halved == (d == 2)
+    assert [dict(c + c if halved else c) for c in seen] == [dict(c) for c in per_u]
     assert on_three_cpus(monkeypatch, fam) == (report, fam.N > 3)
     monkeypatch.setattr(analysis, "_cross_transform", lambda planes, N: (total, first))
     assert family_correlation(fam).as_dict() == report.as_dict()
@@ -207,11 +207,16 @@ def forged_planes(N: int, kind: str) -> list[int]:
     """Planes of length N from random.Random(N): four random ones; or, with
     three zero columns, two random ones, their XOR and ~rot(p0, 1); or p0,
     ~rot(p0, 1) (popcount N at a delay), p2 and p0 ^ p2; or p0 and ~rot(p0, 1)
-    alone, where a carry leaves a lane below the last of its row."""
+    alone, where a carry leaves a lane below the last of its row.  The
+    mirrored kinds take each p | reflect(p) about N // 3, so every row has
+    that mirror: four of them, or m0, ~m0 (popcount N at u = 0) and m2."""
     rng, mask = random.Random(N), (1 << N) - 1
     p0, p1, p2, p3 = (rng.getrandbits(N) for _ in range(4))
     if kind == "random":
         return [p0, p1, p2, p3]
+    if kind.startswith("mirrored"):
+        m0, m1, m2, m3 = (p | reflect(p, N // 3, N) for p in (p0, p1, p2, p3))
+        return [m0, m1, m2, m3] if kind == "mirrored" else [m0, ~m0 & mask, m2]
     flipped = ~rotate(p0, 1, N) & mask
     if kind == "zero columns":
         keep = mask ^ sum(1 << j for j in rng.sample(range(N), 3))
@@ -219,19 +224,51 @@ def forged_planes(N: int, kind: str) -> list[int]:
     return [p0, flipped, p2, p0 ^ p2] if kind == "complement" else [p0, flipped]
 
 
-@pytest.mark.parametrize("kind", ["random", "zero columns", "complement", "pair"])
+def test_d2_rows_share_a_mirror():
+    # every d = 2 family at n <= 10 has one c with s_j = s_{(c-j) mod N} on
+    # every row, checked row by row; (6, -1, 3) and four random planes have
+    # no c that holds on every plane
+    for n in range(MIN_DEGREE, 11):
+        for t, d in family_sizes(n):
+            if d == 2:
+                fam = cached_family(n, t, d)
+                c = analysis._mirror(columns(fam.planes, fam.N))
+                assert c is not None and all(reflect(s, c, fam.N) == s for s in fam.bits)
+    for planes, N in [(list(cached_family(6, -1, 3).planes), 64),
+                      *((forged_planes(N, "random"), N) for N in (256, 273, 300, 511))]:
+        assert analysis._mirror(columns(planes, N)) is None
+        assert not any(all(reflect(p, c, N) == p for p in planes) for c in range(N))
+
+
+@pytest.mark.parametrize("n,t", [(8, 16), (7, 16)])
+def test_mirrored_half_sweep_matches_full_sweep(monkeypatch, n, t):
+    # the lanes i < b, counted twice, give the report of every lane i != b,
+    # both witnesses included
+    fam = cached_family(n, t, 2)
+    M, lanes, lane_counter = fam.M, [], analysis._lane_counter
+    monkeypatch.setattr(analysis, "_lane_counter", lambda k, w: lanes.append(k)
+                        or lane_counter(k, w))
+    half = family_correlation(fam)
+    monkeypatch.setattr(analysis, "_mirror", lambda cols: None)
+    assert family_correlation(fam) == half
+    assert lanes == [M * (M - 1) // 2, M * (M - 1)]
+
+
+@pytest.mark.parametrize("kind", ["random", "zero columns", "complement", "pair",
+                                  "mirrored", "mirrored complement"])
 @pytest.mark.parametrize("N", [256, 273, 300, 511])
 def test_byte_lanes_match_counter_kernel(monkeypatch, N, kind):
     # byte lanes at 256 <= N < 512, where a popcount can carry out of its
     # lane: the total and the first (i, j, u) at both extremes equal the
     # 16-bit oracle's, over forked sweeps; a sweep with any popcount above
-    # 255, the diagonal's included, is rerun in 2-byte lanes (w = 9)
+    # 255, the diagonal's included, is rerun in 2-byte lanes (w = 9), and a
+    # mirrored family counts only the lanes i < b in either width
     planes = forged_planes(N, kind)
     total, first, _ = counter_cross_transform(planes, N)
     bits = span(planes)[1:]
     auto = max((s ^ rotate(s, u, N)).bit_count() for s in bits for u in range(N))
-    widths, lane_counter = [], analysis._lane_counter
-    monkeypatch.setattr(analysis, "_lane_counter", lambda lanes, w: widths.append(w)
+    calls, lane_counter = [], analysis._lane_counter
+    monkeypatch.setattr(analysis, "_lane_counter", lambda lanes, w: calls.append((lanes, w))
                         or lane_counter(lanes, w))
     monkeypatch.setattr(analysis, "_FORK_AFTER_S", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
@@ -240,8 +277,11 @@ def test_byte_lanes_match_counter_kernel(monkeypatch, N, kind):
     assert got == total
     assert [got_first(pc) for pc in (min(total), max(total))] == [
         first(pc) for pc in (min(total), max(total))]
-    assert widths == ([8, 9] if max(auto, *total) > 255 else [8])
-    if kind in ("complement", "pair"):
+    M, mirrored = len(bits), kind.startswith("mirrored")
+    assert (analysis._mirror(columns(planes, N)) is not None) == mirrored
+    assert calls == [(M * (M - 1) >> mirrored, w)
+                     for w in ([8, 9] if max(auto, *total) > 255 else [8])]
+    if kind in ("complement", "pair", "mirrored complement"):
         assert max(total) == N
 
 
