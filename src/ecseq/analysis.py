@@ -8,11 +8,11 @@ rot(s, u) is linear, so every row's autocorrelation at u is in the span of the
 planes' deltas.  For the cross sweep, with col_j the planes' bits
 at position j, C_u(s_i, s_b) is the Walsh-Hadamard transform at b + 1 of the
 buckets P[col_{j+u}] += (-1)^s_i(j), one lane per row i, counted by bit planes,
-and C_u(a, b) = C_{N-u}(b, a) gives u > N/2.  The lanes i = b are not counted;
+and C_u(a, b) = C_{N-u}(b, a) gives u > N/2.  The lanes i = b are taken off;
 when the rows share a mirror, s_j = s_{(c-j) mod N}, as every d = 2 family's
-do, C_u(a, b) = C_u(b, a) and the lanes i < b are counted twice.  A lane is one
-byte below N = 512, where a carry out of a lane shows in the lanes' sum, and
-two bytes above.
+do, C_u(a, b) = C_u(b, a) and only the lanes i < b are counted, twice.  A lane
+is one byte below N = 512, where a carry out of a lane shows in the lanes' sum,
+and two bytes above.
 Sampled mode replays random.Random(seed).randrange's draws from getrandbits and
 reads each probe's rotation as a window of b|b<<N; the probes are one share of the
 autocorrelation sweep's dealing, which returns their counts and first draws at
@@ -251,12 +251,13 @@ def _cross_transform(planes: list[int], N: int,
     Row b reads bucket b + 1, so the planes need not be independent.  Delay
     u <= N/2 of the ordered pair (i, b) also stands for (b, i, N-u).  A lane
     holds popcount(s_i ^ rot(s_b, u)) = (N - C_u) / 2 in [0, N], in `width`
-    bytes, 2 at N >= 512.  Row b's lanes i != b are counted, or its lanes i < b
-    twice when the rows share a mirror (_mirror): C_u(s_i, s_b) = C_u(s_b, s_i).
-    With h = (M+1)/2 rows odd at each nonzero col_j, Z of them and Z_u nonzero at
-    both j and j+u, the M^2 lanes sum to 2hM*Z - 2h^2*Z_u.  Each carry out of a
-    byte lane up to a row's last one read takes 255 or more from the counted
-    bytes' sum, doubled when mirrored, plus the diagonal's: at N >= 256 a
+    bytes, 2 at N >= 512.  Row b's lanes are counted and its lane i = b, an
+    autocorrelation, taken off; or, when the rows share a mirror (_mirror), its
+    lanes i < b, twice: C_u(s_i, s_b) = C_u(s_b, s_i).  With h = (M+1)/2 rows odd
+    at each nonzero col_j, Z of them and Z_u nonzero at both j and j+u, the M^2
+    lanes sum to 2hM*Z - 2h^2*Z_u.  Each carry out of a byte lane up to a row's
+    last one read takes 255 or more from the sum of the bytes read, every lane's
+    or, when mirrored, twice the lanes i < b plus the diagonal: at N >= 256 a
     mismatch, or to_bytes' OverflowError, reruns the sweep in 2 bytes.
     """
     width = max(width, 1 + (N >= 512))
@@ -271,30 +272,28 @@ def _cross_transform(planes: list[int], N: int,
              for c in zip(*(format(s, f"0{N}b") for s in reversed(bits)))][::-1]
     h, nonzero = (M + 1) // 2, sum(1 << j for j, c in enumerate(cols) if c)
 
-    def lanes(u: int) -> tuple[list[bytes], int]:
-        """Each row b's counted lanes i, little-endian popcount(s_i ^ rotate(s_b, u,
-        N)), and the sum of the diagonal lanes' low bytes."""
+    def lanes(u: int) -> list[bytes]:
+        """Row b's lanes i, little-endian popcount(s_i ^ rotate(s_b, u, N))."""
         buckets = [0] * (M + 1)
         for c, x in zip(cols[u:] + cols[:u], signs):
             buckets[c] += x
         walsh_hadamard(buckets)
-        rows, diagonal = [], 0
-        for b in range(M - 1, -1, -1):  # each bucket freed once read
-            row = ((N * ones - buckets.pop()) >> 1).to_bytes(width * M, "little")
-            diagonal += row[b * width]
-            rows.append(row[:b * width] if half else row[:b * width] + row[(b + 1) * width:])
-        return rows[::-1], diagonal
+        rows = [((N * ones - buckets.pop()) >> 1).to_bytes(width * M, "little")
+                for _ in range(M)]  # rows M-1 down to 0, each bucket freed once read
+        return rows[::-1]
 
-    count = _lane_counter(M * (M - 1) >> half, w)
+    count = _lane_counter(M * (M - 1) // 2 if half else M * M, w)
 
     def counts(u: int) -> dict:
-        rows, diagonal = lanes(u)
-        c = count(b"".join(rows))
+        rows = lanes(u)
+        c = count(b"".join([r[:b * width] for b, r in enumerate(rows)] if half else rows))
         both = (nonzero & (nonzero | nonzero << N) >> u).bit_count()  # Z_u
-        if width == 1 and N >= 256 and (sum(v * k for v, k in c.items()) << half) + diagonal != (
-                2 * h * (M * nonzero.bit_count() - h * both)):
+        if width == 1 and N >= 256 and (sum(v * k for v, k in c.items()) << half) + half * sum(
+                r[b] for b, r in enumerate(rows)) != 2 * h * (M * nonzero.bit_count() - h * both):
             raise OverflowError(f"a byte lane carried at u = {u}")
-        return {pc: k << half for pc, k in c.items()}
+        if not half:
+            c.subtract(_auto_values(planes, N, u))  # the diagonal, i = b
+        return {pc: k << half for pc, k in c.items() if k}
     try:
         total, where, _ = _per_delay(counts, range(N // 2 + 1), N)
     except OverflowError:
@@ -306,8 +305,9 @@ def _cross_transform(planes: list[int], N: int,
         """A row's first lane holding pc gives its first (i, j, u) in order."""
         hits, key = [], int.from_bytes(pc.to_bytes(width, "little"), sys.byteorder)  # pc's lane
         for u in where(pc):
-            for b, row in enumerate(lanes(u)[0]):
-                pcs = array("BH"[width - 1], row)  # native byte order
+            for b, row in enumerate(lanes(u)):
+                pcs = array("BH"[width - 1], row[:b * width] if half else  # native byte order
+                            row[:b * width] + row[(b + 1) * width:])
                 if key in pcs:
                     i = pcs.index(key)
                     i += i >= b

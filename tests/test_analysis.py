@@ -189,15 +189,19 @@ def test_cross_transform_matches_counter_kernel(monkeypatch, n, t, d):
 
     def recording(lanes, w):
         count = lane_counter(lanes, w)
-        return lambda raw: seen.append(count(raw)) or seen[-1]
+        # a copy, as the kernel subtracts the diagonal from what it gets in place
+        return lambda raw: seen.append(count(raw)) or Counter(seen[-1])
     monkeypatch.setattr(analysis, "_lane_counter", recording)
     report = family_correlation(fam)
     # the d = 2 rows are mirrored, so a delay counts the lanes i < b, half of
-    # the oracle's per_u; the d = 3 family's rows are not, so it counts all
-    # the lanes i != b
+    # the oracle's per_u; the d = 3 family's rows are not, so it counts every
+    # lane, whose lanes i = b hold row i's autocorrelation at u
     halved = analysis._mirror(columns(fam.planes, fam.N)) is not None
     assert halved == (d == 2)
-    assert [dict(c + c if halved else c) for c in seen] == [dict(c) for c in per_u]
+    bits, N = fam.bits, fam.N
+    diagonal = [Counter((s ^ rotate(s, u, N)).bit_count() for s in bits) for u in range(N // 2 + 1)]
+    assert [dict(c + c if halved else c) for c in seen] == [
+        dict(c if halved else c + diag) for c, diag in zip(per_u, diagonal)]
     assert on_three_cpus(monkeypatch, fam) == (report, fam.N > 3)
     monkeypatch.setattr(analysis, "_cross_transform", lambda planes, N: (total, first))
     assert family_correlation(fam).as_dict() == report.as_dict()
@@ -242,8 +246,8 @@ def test_d2_rows_share_a_mirror():
 
 @pytest.mark.parametrize("n,t", [(8, 16), (7, 16)])
 def test_mirrored_half_sweep_matches_full_sweep(monkeypatch, n, t):
-    # the lanes i < b, counted twice, give the report of every lane i != b,
-    # both witnesses included
+    # the lanes i < b, counted twice, give the report of every lane less the
+    # diagonal, both witnesses included
     fam = cached_family(n, t, 2)
     M, lanes, lane_counter = fam.M, [], analysis._lane_counter
     monkeypatch.setattr(analysis, "_lane_counter", lambda k, w: lanes.append(k)
@@ -251,7 +255,7 @@ def test_mirrored_half_sweep_matches_full_sweep(monkeypatch, n, t):
     half = family_correlation(fam)
     monkeypatch.setattr(analysis, "_mirror", lambda cols: None)
     assert family_correlation(fam) == half
-    assert lanes == [M * (M - 1) // 2, M * (M - 1)]
+    assert lanes == [M * (M - 1) // 2, M * M]
 
 
 @pytest.mark.parametrize("kind", ["random", "zero columns", "complement", "pair",
@@ -262,7 +266,8 @@ def test_byte_lanes_match_counter_kernel(monkeypatch, N, kind):
     # lane: the total and the first (i, j, u) at both extremes equal the
     # 16-bit oracle's, over forked sweeps; a sweep with any popcount above
     # 255, the diagonal's included, is rerun in 2-byte lanes (w = 9), and a
-    # mirrored family counts only the lanes i < b in either width
+    # mirrored family counts only the lanes i < b in either width, any other
+    # every lane
     planes = forged_planes(N, kind)
     total, first, _ = counter_cross_transform(planes, N)
     bits = span(planes)[1:]
@@ -279,7 +284,7 @@ def test_byte_lanes_match_counter_kernel(monkeypatch, N, kind):
         first(pc) for pc in (min(total), max(total))]
     M, mirrored = len(bits), kind.startswith("mirrored")
     assert (analysis._mirror(columns(planes, N)) is not None) == mirrored
-    assert calls == [(M * (M - 1) >> mirrored, w)
+    assert calls == [(M * (M - 1) // 2 if mirrored else M * M, w)
                      for w in ([8, 9] if max(auto, *total) > 255 else [8])]
     if kind in ("complement", "pair", "mirrored complement"):
         assert max(total) == N
